@@ -2,7 +2,7 @@
 
 Subcommands: coeffs | spectrum | stats | diagnose | sweep | verify.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 resource guard or solver cap. All configuration is explicit flags; no
+3 resource guard or solver failure. All configuration is explicit flags; no
 environment variables are consulted.
 """
 
@@ -150,7 +150,10 @@ def _input_graph(cfg: RunConfig) -> Graph:
 
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.out is not None:
-        cfg.out.write_text(text, encoding="utf-8")
+        try:
+            cfg.out.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {cfg.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -3,14 +3,15 @@
 The corpus is fixed so repeated runs are reproducible: every named family at
 sizes 1..12 where valid, 20 seeded random trees per order in 4..9 (extended
 to 12 for the coefficient sandwich), and 10 seeded random regular graphs for
-(n, d) in {(8, 3), (10, 3), (10, 4)}. Checks return one pass/fail line each
-and never depend on execution order or thread count.
+(n, d) in {(8, 3), (10, 3), (10, 4)}. Each graph's Laplacian
+coefficients are computed once per run and shared by every check that needs
+them. Checks return one pass/fail line each and never depend on execution
+order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import exact, limits, spectra
@@ -31,33 +32,34 @@ REGULAR_SEEDS = tuple(range(10))
 REGULAR_SHAPES = ((8, 3), (10, 3), (10, 4))
 
 
+# corpus labels that differ from the family name
+_LABEL_PREFIX = {
+    "complete_bipartite": "bipartite",
+    "matching_union": "matching",
+    "complete_binary_tree": "btree",
+}
+
+_FAMILY_MEMBERS = (
+    [("path", (n,)) for n in range(1, 13)]
+    + [("cycle", (n,)) for n in range(3, 13)]
+    + [("star", (n,)) for n in range(1, 13)]
+    + [("complete", (n,)) for n in range(1, 13)]
+    + [("complete_bipartite", (m, n)) for m in range(1, 7) for n in range(m, 13 - m)]
+    + [("hypercube", (d,)) for d in range(0, 4)]
+    + [("matching_union", (n,)) for n in range(1, 7)]
+    + [("wheel", (n,)) for n in range(3, 12)]
+    + [("complete_binary_tree", (depth,)) for depth in range(0, 3)]
+)
+
+
+def _label(family: str, params: tuple[int, ...]) -> str:
+    return "-".join([_LABEL_PREFIX.get(family, family), *map(str, params)])
+
+
 def corpus_graphs() -> list[tuple[str, Graph]]:
     """The pinned corpus in a fixed, deterministic order."""
-    out: list[tuple[str, Graph]] = []
-    for n in range(1, 13):
-        out.append((f"path-{n}", make_family(FamilySpec("path", (n,)))))
-    for n in range(3, 13):
-        out.append((f"cycle-{n}", make_family(FamilySpec("cycle", (n,)))))
-    for n in range(1, 13):
-        out.append((f"star-{n}", make_family(FamilySpec("star", (n,)))))
-    for n in range(1, 13):
-        out.append((f"complete-{n}", make_family(FamilySpec("complete", (n,)))))
-    for m in range(1, 7):
-        for n in range(m, 13 - m):
-            out.append(
-                (f"bipartite-{m}-{n}", make_family(FamilySpec("complete_bipartite", (m, n))))
-            )
-    for d in range(0, 4):
-        out.append((f"hypercube-{d}", make_family(FamilySpec("hypercube", (d,)))))
-    for n in range(1, 7):
-        out.append((f"matching-{n}", make_family(FamilySpec("matching_union", (n,)))))
-    for n in range(3, 12):
-        out.append((f"wheel-{n}", make_family(FamilySpec("wheel", (n,)))))
-    for depth in range(0, 3):
-        out.append((f"btree-{depth}", make_family(FamilySpec("complete_binary_tree", (depth,)))))
-    for n in range(4, 10):
-        for seed in TREE_SEEDS:
-            out.append((f"rtree-{n}-s{seed:02d}", random_tree(n, seed)))
+    out = [(_label(f, p), make_family(FamilySpec(f, p))) for f, p in _FAMILY_MEMBERS]
+    out.extend(corpus_trees(max_n=9))
     for n, d in REGULAR_SHAPES:
         for seed in REGULAR_SEEDS:
             out.append((f"regular-{n}-{d}-s{seed:02d}", random_regular(n, d, seed)))
@@ -91,35 +93,48 @@ class _Bundle:
     spectrum: spectra.Spectrum
 
 
-def _bundles() -> list[_Bundle]:
-    out = []
-    for label, g in corpus_graphs():
-        out.append(
-            _Bundle(
-                label=label,
-                graph=g,
-                coeffs=exact.laplacian_coefficients(g),
-                spectrum=spectra.numeric_spectrum(exact.laplacian_matrix(g)),
-            )
+@dataclass
+class _Corpus:
+    bundles: list[_Bundle]
+    # seeded random trees of orders 4..12; orders 4..9 are corpus graphs
+    trees: list[tuple[str, Graph]]
+    # Laplacian coefficients by label, for every bundle and tree
+    coeffs: dict[str, list[int]]
+
+
+def _corpus() -> _Corpus:
+    bundles = [
+        _Bundle(
+            label=label,
+            graph=g,
+            coeffs=exact.laplacian_coefficients(g),
+            spectrum=spectra.numeric_spectrum(exact.laplacian_matrix(g)),
         )
-    return out
+        for label, g in corpus_graphs()
+    ]
+    coeffs = {b.label: b.coeffs for b in bundles}
+    trees = corpus_trees(max_n=12)
+    for label, t in trees:
+        if label not in coeffs:
+            coeffs[label] = exact.laplacian_coefficients(t)
+    return _Corpus(bundles, trees, coeffs)
 
 
 def _fail(name: str, label: str, what: str) -> CheckResult:
     return CheckResult(name, False, f"{label}: {what}")
 
 
-def _check_handshake(bundles: list[_Bundle]) -> CheckResult:
+def _check_handshake(corpus: _Corpus) -> CheckResult:
     name = "handshake degree sum"
-    for b in bundles:
+    for b in corpus.bundles:
         if sum(b.graph.degrees()) != 2 * b.graph.edge_count:
             return _fail(name, b.label, "degree sum != 2|E|")
-    return CheckResult(name, True, f"{len(bundles)} graphs")
+    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
 
 
-def _check_exact_identities(bundles: list[_Bundle]) -> CheckResult:
+def _check_exact_identities(corpus: _Corpus) -> CheckResult:
     name = "exact coefficient identities"
-    for b in bundles:
+    for b in corpus.bundles:
         g, c = b.graph, b.coeffs
         n = g.n
         if c[n] != 1 or c[n - 1] != 2 * g.edge_count or (n >= 1 and c[0] != 0):
@@ -130,19 +145,19 @@ def _check_exact_identities(bundles: list[_Bundle]) -> CheckResult:
         for k in range(n + 1):
             if (c[k] == 0) != (k < r):
                 return _fail(name, b.label, f"zero pattern at k={k}")
-    return CheckResult(name, True, f"{len(bundles)} graphs")
+    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
 
 
-def _check_forest_oracle(bundles: list[_Bundle]) -> CheckResult:
+def _check_forest_oracle(corpus: _Corpus) -> CheckResult:
     name = "forest-oracle equality"
-    small = [b for b in bundles if b.graph.n <= 7]
+    small = [b for b in corpus.bundles if b.graph.n <= 7]
     for b in small:
         if exact.forest_sum_oracle(b.graph) != b.coeffs:
             return _fail(name, b.label, "forest sum mismatch")
     return CheckResult(name, True, f"all {len(small)} graphs <= 7 vertices")
 
 
-def _check_path_matchings(bundles: list[_Bundle]) -> CheckResult:
+def _check_path_matchings(corpus: _Corpus) -> CheckResult:
     name = "path matching counts"
     for n in range(1, 21):
         g = make_family(FamilySpec("path", (n,)))
@@ -153,12 +168,12 @@ def _check_path_matchings(bundles: list[_Bundle]) -> CheckResult:
     return CheckResult(name, True, "paths up to 20 vertices")
 
 
-def _check_tree_subdivision(bundles: list[_Bundle]) -> CheckResult:
+def _check_tree_subdivision(corpus: _Corpus) -> CheckResult:
     name = "tree subdivision matching identity"
-    trees = corpus_trees(max_n=9)
+    trees = [(label, t) for label, t in corpus.trees if t.n <= 9]
     for label, t in trees:
         n = t.n
-        c = exact.laplacian_coefficients(t)
+        c = corpus.coeffs[label]
         m = exact.matching_counts(subdivision(t))
         for k in range(n + 1):
             want = m[n - k] if n - k < len(m) else 0
@@ -167,33 +182,31 @@ def _check_tree_subdivision(bundles: list[_Bundle]) -> CheckResult:
     return CheckResult(name, True, f"{len(trees)} trees, orders 4..9")
 
 
-def _check_tree_wiener(bundles: list[_Bundle]) -> CheckResult:
+def _check_tree_wiener(corpus: _Corpus) -> CheckResult:
     name = "tree wiener identity"
-    trees = corpus_trees(max_n=12)
-    for label, t in trees:
-        if exact.laplacian_coefficients(t)[2] != exact.wiener_index(t):
+    for label, t in corpus.trees:
+        if corpus.coeffs[label][2] != exact.wiener_index(t):
             return _fail(name, label, "c[2] != wiener index")
-    return CheckResult(name, True, f"{len(trees)} trees")
+    return CheckResult(name, True, f"{len(corpus.trees)} trees")
 
 
-def _check_sandwich(bundles: list[_Bundle]) -> CheckResult:
+def _check_sandwich(corpus: _Corpus) -> CheckResult:
     name = "star-path coefficient sandwich"
-    trees = corpus_trees(max_n=12)
-    for label, t in trees:
+    for label, t in corpus.trees:
         n = t.n
         lower = exact.closed_form_coefficients("star", n)
         upper = exact.closed_form_coefficients("path", n)
-        c = exact.laplacian_coefficients(t)
+        c = corpus.coeffs[label]
         for k in range(n + 1):
             if not lower[k] <= c[k] <= upper[k]:
                 return _fail(name, label, f"violated at k={k}")
-    return CheckResult(name, True, f"{len(trees)} trees, orders 4..12")
+    return CheckResult(name, True, f"{len(corpus.trees)} trees, orders 4..12")
 
 
-def _check_bipartite_signless(bundles: list[_Bundle]) -> CheckResult:
+def _check_bipartite_signless(corpus: _Corpus) -> CheckResult:
     name = "bipartite signless equality"
     hits = 0
-    for b in bundles:
+    for b in corpus.bundles:
         if not is_bipartite(b.graph):
             continue
         hits += 1
@@ -202,22 +215,18 @@ def _check_bipartite_signless(bundles: list[_Bundle]) -> CheckResult:
     return CheckResult(name, True, f"{hits} bipartite graphs")
 
 
-_CLOSED_FORM_CASES = (
-    [("path", (n,)) for n in range(1, 13)]
-    + [("cycle", (n,)) for n in range(3, 13)]
-    + [("star", (n,)) for n in range(1, 13)]
-    + [("complete", (n,)) for n in range(1, 13)]
-    + [("matching_union", (n,)) for n in range(1, 7)]
-    + [("complete_bipartite", (m, n)) for m in range(1, 7) for n in range(m, 13 - m)]
+# every corpus family member with a closed coefficient formula
+_CLOSED_FORM_CASES = tuple(
+    (f, p) for f, p in _FAMILY_MEMBERS if f in exact.CLOSED_FORM_COEFF_FAMILIES
 )
 
 
-def _check_closed_form_coefficients(bundles: list[_Bundle]) -> CheckResult:
+def _check_closed_form_coefficients(corpus: _Corpus) -> CheckResult:
     name = "closed-form coefficient equality"
     for family, params in _CLOSED_FORM_CASES:
-        g = make_family(FamilySpec(family, params))
-        if exact.closed_form_coefficients(family, *params) != exact.laplacian_coefficients(g):
-            return _fail(name, f"{family}-{params}", "closed form != exact pipeline")
+        label = _label(family, params)
+        if exact.closed_form_coefficients(family, *params) != corpus.coeffs[label]:
+            return _fail(name, label, "closed form != exact pipeline")
     return CheckResult(name, True, f"{len(_CLOSED_FORM_CASES)} family members")
 
 
@@ -233,7 +242,7 @@ _SPECTRUM_CASES = (
 )
 
 
-def _check_closed_vs_numeric_spectra(bundles: list[_Bundle]) -> CheckResult:
+def _check_closed_vs_numeric_spectra(corpus: _Corpus) -> CheckResult:
     name = "closed-form vs numeric spectra"
     for family, params in _SPECTRUM_CASES:
         g = make_family(FamilySpec(family, params))
@@ -245,9 +254,9 @@ def _check_closed_vs_numeric_spectra(bundles: list[_Bundle]) -> CheckResult:
     return CheckResult(name, True, f"{len(_SPECTRUM_CASES)} family members, n <= 64")
 
 
-def _check_bounds(bundles: list[_Bundle]) -> CheckResult:
+def _check_bounds(corpus: _Corpus) -> CheckResult:
     name = "eigenvalue bounds and trace"
-    for b in bundles:
+    for b in corpus.bundles:
         g = b.graph
         lam_max = b.spectrum.values[0] if len(b.spectrum) else 0.0
         gersh = spectra.gershgorin_bound(g)
@@ -259,12 +268,12 @@ def _check_bounds(bundles: list[_Bundle]) -> CheckResult:
             return _fail(name, b.label, "edgeless graph with nonzero eigenvalue")
         if spectra.trace_check(b.spectrum, g) > 1e-8:
             return _fail(name, b.label, "trace residual > 1e-8")
-    return CheckResult(name, True, f"{len(bundles)} graphs")
+    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
 
 
-def _check_reconstruction(bundles: list[_Bundle]) -> CheckResult:
+def _check_reconstruction(corpus: _Corpus) -> CheckResult:
     name = "coefficient reconstruction from spectrum"
-    for b in bundles:
+    for b in corpus.bundles:
         approx = spectra.expand_from_spectrum(b.spectrum.values)
         top = float(max(b.coeffs))
         for k, c in enumerate(b.coeffs):
@@ -273,14 +282,14 @@ def _check_reconstruction(bundles: list[_Bundle]) -> CheckResult:
             err = abs(approx[k] - c)
             if err > max(1e-6 * float(c), 1e-9 * top):
                 return _fail(name, b.label, f"coefficient {k} off by {err:.3e}")
-    return CheckResult(name, True, f"{len(bundles)} graphs")
+    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
 
 
-def _check_cone_transform(bundles: list[_Bundle]) -> CheckResult:
+def _check_cone_transform(corpus: _Corpus) -> CheckResult:
     name = "cone spectrum transform"
     from .graphs import cone
 
-    cases = [(b.label, b.graph, b.spectrum) for b in bundles if 1 <= b.graph.n <= 12]
+    cases = [(b.label, b.graph, b.spectrum) for b in corpus.bundles if 1 <= b.graph.n <= 12]
     for n in (15, 25, 40):
         g = make_family(FamilySpec("cycle", (n,)))
         cases.append((f"cycle-{n}", g, spectra.numeric_spectrum(exact.laplacian_matrix(g))))
@@ -293,21 +302,21 @@ def _check_cone_transform(bundles: list[_Bundle]) -> CheckResult:
     return CheckResult(name, True, f"{len(cases)} graphs")
 
 
-def _check_moment_consistency(bundles: list[_Bundle]) -> CheckResult:
+def _check_moment_consistency(corpus: _Corpus) -> CheckResult:
     name = "moment consistency"
-    for b in bundles:
+    for b in corpus.bundles:
         stats = limits.mean_variance(b.spectrum)
         probs = limits.normalized_probabilities(b.coeffs)
         mean = math.fsum(k * p for k, p in enumerate(probs))
         var = math.fsum((k - mean) ** 2 * p for k, p in enumerate(probs))
         if abs(mean - stats.mu) > 1e-8 or abs(var - stats.sigma2) > 1e-8:
             return _fail(name, b.label, "coefficient moments != spectrum moments")
-    return CheckResult(name, True, f"{len(bundles)} graphs")
+    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
 
 
-def _check_variance_bounds(bundles: list[_Bundle]) -> CheckResult:
+def _check_variance_bounds(corpus: _Corpus) -> CheckResult:
     name = "variance lower bounds"
-    for b in bundles:
+    for b in corpus.bundles:
         stats = limits.mean_variance(b.spectrum)
         if stats.sigma2 + 1e-12 < limits.variance_lower_bound(b.graph):
             return _fail(name, b.label, "sigma2 below edge/degree bound")
@@ -316,12 +325,12 @@ def _check_variance_bounds(bundles: list[_Bundle]) -> CheckResult:
         stats = limits.mean_variance(spectra.closed_form_spectrum("wheel", n))
         if stats.sigma2 + 1e-12 < limits.cone_variance_lower_bound(n, 2):
             return _fail(name, f"wheel-{n}", "sigma2 below cone bound")
-    return CheckResult(name, True, f"{len(bundles)} graphs + wheels 3..11")
+    return CheckResult(name, True, f"{len(corpus.bundles)} graphs + wheels 3..11")
 
 
-def _check_clt_scale_invariance(bundles: list[_Bundle]) -> CheckResult:
+def _check_clt_scale_invariance(corpus: _Corpus) -> CheckResult:
     name = "clt scale invariance"
-    picked = [b for b in bundles if b.graph.edges][::10]
+    picked = [b for b in corpus.bundles if b.graph.edges][::10]
     for b in picked:
         stats = limits.mean_variance(b.spectrum)
         base = limits.clt_distance(limits.normalized_probabilities(b.coeffs), stats)
@@ -333,7 +342,7 @@ def _check_clt_scale_invariance(bundles: list[_Bundle]) -> CheckResult:
     return CheckResult(name, True, f"{len(picked)} graphs, factor 7")
 
 
-def _check_generator_determinism(bundles: list[_Bundle]) -> CheckResult:
+def _check_generator_determinism(corpus: _Corpus) -> CheckResult:
     name = "generator determinism"
     for n in (4, 9, 17):
         if random_tree(n, 42).edges != random_tree(n, 42).edges:
@@ -344,16 +353,16 @@ def _check_generator_determinism(bundles: list[_Bundle]) -> CheckResult:
     return CheckResult(name, True, "trees and regular graphs")
 
 
-def _check_probability_normalization(bundles: list[_Bundle]) -> CheckResult:
+def _check_probability_normalization(corpus: _Corpus) -> CheckResult:
     name = "probability normalization"
-    for b in bundles:
+    for b in corpus.bundles:
         probs = limits.normalized_probabilities(b.coeffs)
         if abs(math.fsum(probs) - 1.0) > 1e-12:
             return _fail(name, b.label, "probabilities do not sum to 1")
         for p, c in zip(probs, b.coeffs):
             if (p == 0.0) != (c == 0):
                 return _fail(name, b.label, "zero pattern mismatch")
-    return CheckResult(name, True, f"{len(bundles)} graphs")
+    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
 
 
 _CHECKS = (
@@ -379,16 +388,12 @@ _CHECKS = (
 
 
 def run_verification(jobs: int = 1) -> list[CheckResult]:
-    """Run every invariant check over the pinned corpus.
+    """Run every invariant check over the pinned corpus, in the fixed order.
 
-    Results come back in the fixed check order regardless of how many
-    worker threads execute them.
+    The checks run serially; ``jobs`` is validated and otherwise ignored,
+    kept so that existing ``--jobs`` invocations still work.
     """
     if jobs < 1:
         raise InputError("jobs must be >= 1")
-    bundles = _bundles()
-    if jobs == 1:
-        return [check(bundles) for check in _CHECKS]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(check, bundles) for check in _CHECKS]
-        return [f.result() for f in futures]
+    corpus = _corpus()
+    return [check(corpus) for check in _CHECKS]

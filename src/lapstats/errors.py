@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: bad input is 2, resource guards and
-solver caps are 3. Anything else escaping is a bug.
+solver failures are 3. Anything else escaping is a bug.
 """
 
 
@@ -16,5 +16,5 @@ class GuardExceeded(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """The iterative eigensolver hit its sweep cap before reaching the
-    requested off-diagonal tolerance."""
+    """The eigensolver failed, or its eigenvalues did not sum to the matrix
+    trace within the certificate tolerance."""

@@ -414,6 +414,6 @@ def read_edge_list(path) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read edge list {path}: {exc}") from None
     return parse_edge_list(text)

@@ -1,9 +1,10 @@
 """Laplacian spectra: a dense symmetric eigensolver, closed forms for named
 families, spectral transforms for joins and cones, and eigenvalue bounds.
 
-The numeric solver is a cyclic Jacobi iteration. It is plenty at desk scale
-(dense n up to a few hundred), keeps an explicit off-diagonal tolerance and
-sweep cap, and fails loudly instead of returning junk.
+The numeric solver is LAPACK's symmetric eigensolver through numpy
+``eigvalsh``. Each result must pass a trace certificate (eigenvalue sum
+against the matrix trace); the solver fails loudly instead of returning junk.
+The closed-form spectra are its oracle in ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import ConvergenceError, InputError
 from .graphs import Graph, max_degree
 
 DEFAULT_TOL = 1e-12
-SWEEP_CAP = 100
+TRACE_TOL = 1e-8
 ZERO_MATCH_TOL = 1e-8
 
 CLOSED_FORM_SPECTRUM_FAMILIES = (
@@ -49,12 +50,13 @@ def _sorted_spectrum(values, exact: bool) -> Spectrum:
 
 
 def numeric_spectrum(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Eigenvalues of a symmetric integer matrix by cyclic Jacobi rotations.
+    """Eigenvalues of a symmetric integer matrix by LAPACK (numpy ``eigvalsh``).
 
-    Iterates full sweeps until the off-diagonal Frobenius norm drops below
-    tol * scale (scale = Frobenius norm of the input) or the sweep cap is
-    hit. Tiny negative results within 10 * tol * scale of zero are snapped
-    to 0, since the matrices of interest are positive semi-definite.
+    Every result is certified by its trace: if the eigenvalue sum misses the
+    matrix trace by more than TRACE_TOL * max(1, |trace|), or LAPACK fails,
+    ConvergenceError is raised. Tiny negative results within 10 * tol * scale
+    of zero (scale = Frobenius norm of the input) are snapped to 0, since the
+    matrices of interest are positive semi-definite.
     """
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
@@ -66,49 +68,20 @@ def numeric_spectrum(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     n = a.shape[0]
     if n == 0:
         return Spectrum((), exact=False)
-    if n == 1:
-        return Spectrum((float(a[0, 0]),), exact=False)
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         return Spectrum((0.0,) * n, exact=False)
-    indices = np.arange(n)
-    off_diag = ~np.eye(n, dtype=bool)
-    for _ in range(SWEEP_CAP):
-        # norm of the actual off-diagonal entries; subtracting the diagonal
-        # mass from the total would cancel catastrophically near convergence
-        off = float(np.linalg.norm(a[off_diag]))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                app, aqq = float(a[p, p]), float(a[q, q])
-                tau = (aqq - app) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                rest = (indices != p) & (indices != q)
-                aip = a[rest, p].copy()
-                aiq = a[rest, q].copy()
-                a[rest, p] = a[p, rest] = c * aip - s * aiq
-                a[rest, q] = a[q, rest] = s * aip + c * aiq
-    else:
-        raise ConvergenceError(
-            f"Jacobi sweep cap {SWEEP_CAP} reached (off-diagonal norm {off:.3e})"
-        )
+    try:
+        values = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigvalsh failed: {exc}") from None
+    trace = float(np.trace(a))
+    residual = abs(math.fsum(values) - trace)
+    # negated so that a NaN residual fails the certificate too
+    if not residual <=TRACE_TOL * max(1.0, abs(trace)):
+        raise ConvergenceError(f"eigenvalue sum misses the trace by {residual:.3e}")
     snap = 10.0 * tol * scale
-    values = [0.0 if -snap < v < 0.0 else float(v) for v in np.diag(a)]
-    return _sorted_spectrum(values, exact=False)
+    return _sorted_spectrum((0.0 if -snap < v < 0.0 else v for v in values), exact=False)
 
 
 def closed_form_spectrum(family: str, *params: int) -> Spectrum:

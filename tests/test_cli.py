@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from lapstats import cli
@@ -164,6 +165,30 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "coeffs", "--edge-list", "/nonexistent/g.txt")
         assert code == 2
+
+    def test_non_utf8_edge_list(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"2 1\n0 1\n\xff\n")
+        code, _, err = run_cli(capsys, "diagnose", "--edge-list", str(path))
+        assert code == 2 and err.startswith("error:")
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "no-such-dir" / "x.json"
+        code, out, err = run_cli(capsys, "stats", "--family", "path", "--n", "3",
+                                 "--out", str(target))
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("broken", ["raises", "misses_trace"])
+    def test_eigensolver_failure_maps_to_exit_3(self, capsys, monkeypatch, broken):
+        def fake(a):
+            if broken == "raises":
+                raise np.linalg.LinAlgError("no convergence")
+            return np.zeros(len(a))
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fake)
+        code, out, err = run_cli(capsys, "spectrum", "--family", "complete_binary_tree",
+                                 "--n", "2")
+        assert code == 3 and out == "" and err.startswith("error:")
 
     def test_guard_maps_to_exit_3(self, capsys, monkeypatch):
         def explode(g):

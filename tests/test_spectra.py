@@ -1,6 +1,10 @@
+import json
+
+import numpy as np
 import pytest
 
-from lapstats.errors import InputError
+from lapstats import cli
+from lapstats.errors import ConvergenceError, InputError
 from lapstats.exact import laplacian_coefficients, laplacian_matrix
 from lapstats.graphs import FamilySpec, cone, empty_graph, make_family, random_regular
 from lapstats.spectra import (
@@ -62,6 +66,47 @@ class TestNumericSolver:
     def test_trace_residual_random_regular_50(self):
         g = random_regular(50, 3, seed=11)
         assert trace_check(lap_spectrum(g), g) <= 1e-8
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="eigvalsh"):
+            lap_spectrum(fam("path", 5))
+
+    def test_trace_certificate(self, monkeypatch):
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1e-6)
+        with pytest.raises(ConvergenceError, match="trace"):
+            lap_spectrum(fam("path", 5))
+
+
+class TestLargeNumeric:
+    """Sizes far beyond what a pure-Python eigensolver reaches in a test run."""
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("path", (256,)),
+            ("cycle", (256,)),
+            ("wheel", (255,)),
+            ("hypercube", (8,)),
+            ("complete_bipartite", (100, 156)),
+        ],
+    )
+    def test_matches_closed_form(self, family, params):
+        g = make_family(FamilySpec(family, params))
+        want = closed_form_spectrum(family, *params).values
+        got = lap_spectrum(g).values
+        assert len(got) == len(want) == g.n
+        assert max(abs(a - b) for a, b in zip(want, got)) <= 1e-9
+
+    def test_diagnose_complete_binary_tree_511(self, capsys):
+        assert cli.main(["diagnose", "--family", "complete_binary_tree", "--n", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["n"] == 511
+        g = fam("complete_binary_tree", 8)
+        assert trace_check(lap_spectrum(g), g) < 1e-8
 
 
 class TestClosedForms:
