@@ -3,7 +3,6 @@ coefficient distributions."""
 
 from .errors import ConvergenceError, GuardExceeded, InputError
 from .graphs import (
-    FamilySpec,
     Graph,
     cartesian_product,
     component_count,
@@ -15,17 +14,13 @@ from .graphs import (
     is_bipartite,
     is_tree,
     join,
-    make_family,
     max_degree,
     parse_edge_list,
-    random_regular,
-    random_tree,
     read_edge_list,
     subdivision,
 )
 from .exact import (
     charpoly_monic,
-    closed_form_coefficients,
     coefficients_from_eigenvalues,
     forest_sum_oracle,
     laplacian_coefficients,
@@ -36,10 +31,18 @@ from .exact import (
     spanning_tree_count,
     wiener_index,
 )
+from .families import (
+    FamilySpec,
+    closed_form_coefficients,
+    closed_form_spectrum,
+    family_limit_constants,
+    make_family,
+    random_regular,
+    random_tree,
+)
 from .spectra import (
     Spectrum,
     anderson_morley_bound,
-    closed_form_spectrum,
     cone_spectrum,
     expand_from_spectrum,
     gershgorin_bound,
@@ -51,7 +54,6 @@ from .limits import (
     LimitStats,
     clt_distance,
     cone_variance_lower_bound,
-    family_limit_constants,
     hypercube_variance_lower_bound,
     llt_distance,
     mean_variance,

@@ -17,7 +17,14 @@ from pathlib import Path
 from . import diagnostics, exact, limits, serialize, spectra
 from .corpus import run_verification
 from .errors import ConvergenceError, GuardExceeded, InputError
-from .graphs import TWO_PARAM_FAMILIES, FamilySpec, Graph, make_family, read_edge_list
+from .families import (
+    FAMILIES,
+    FamilySpec,
+    closed_form_coefficients,
+    family_member,
+    make_family,
+)
+from .graphs import Graph, read_edge_list
 
 _INPUT_COMMANDS = ("coeffs", "spectrum", "stats", "diagnose")
 
@@ -49,17 +56,11 @@ class RunConfig:
             raise InputError("--jobs must be >= 1")
 
 
-def _parse_sizes(family: str, text: str) -> tuple[int, ...]:
+def _ints(flag: str, text: str) -> tuple[int, ...]:
     try:
-        params = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise InputError(f"--n expects integers, got {text!r}") from None
-    want = 2 if family in TWO_PARAM_FAMILIES else 1
-    if len(params) != want:
-        raise InputError(
-            f"family {family!r} takes {want} size parameter(s), got {text!r}"
-        )
-    return params
+        raise InputError(f"{flag} expects integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,10 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p: argparse.ArgumentParser, closed_form: bool = False) -> None:
-        p.add_argument("--family", choices=sorted(set(
-            list(TWO_PARAM_FAMILIES) + ["path", "cycle", "star", "complete", "hypercube",
-                                        "matching_union", "wheel", "complete_binary_tree",
-                                        "random_tree"])))
+        p.add_argument("--family", choices=sorted(FAMILIES))
         p.add_argument("--n", help="size parameter(s); two comma-separated values for two-parameter families")
         p.add_argument("--edge-list", type=Path, help="path to an 'n m' edge-list file")
         p.add_argument("--seed", type=int, help="seed, required for random families")
@@ -104,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("sweep", help="diagnostic rows over a size ladder")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--ladder", required=True, help="comma-separated sizes")
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
@@ -132,20 +130,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if raw is None and args.command != "sweep":
             raise InputError("--family needs --n")
         if raw is not None:
-            cfg.params = _parse_sizes(cfg.family, raw)
+            cfg.params = _ints("--n", raw)
     if args.command == "sweep":
-        try:
-            cfg.ladder = tuple(int(x) for x in args.ladder.split(","))
-        except ValueError:
-            raise InputError(f"--ladder expects integers, got {args.ladder!r}") from None
+        cfg.ladder = _ints("--ladder", args.ladder)
     cfg.validate()
     return cfg
+
+
+def _spec(cfg: RunConfig) -> FamilySpec:
+    return FamilySpec(cfg.family, cfg.params, cfg.seed)
 
 
 def _input_graph(cfg: RunConfig) -> Graph:
     if cfg.edge_list is not None:
         return read_edge_list(cfg.edge_list)
-    return make_family(FamilySpec(cfg.family, cfg.params, cfg.seed))
+    return make_family(_spec(cfg))
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -162,9 +161,9 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     if cfg.closed_form:
         if cfg.signless:
             raise InputError("--closed-form has no signless variant")
-        if cfg.family is None or cfg.family not in exact.CLOSED_FORM_COEFF_FAMILIES:
-            raise InputError("--closed-form needs a supported --family")
-        coeffs = exact.closed_form_coefficients(cfg.family, *cfg.params)
+        if cfg.family is None:
+            raise InputError("--closed-form needs a --family")
+        coeffs = closed_form_coefficients(cfg.family, *cfg.params)
     else:
         g = _input_graph(cfg)
         coeffs = exact.signless_coefficients(g) if cfg.signless else exact.laplacian_coefficients(g)
@@ -174,14 +173,14 @@ def cmd_coeffs(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    g = _input_graph(cfg)
     if cfg.closed_form:
         if cfg.signless:
             raise InputError("--closed-form has no signless variant")
-        if cfg.family is None or cfg.family not in spectra.CLOSED_FORM_SPECTRUM_FAMILIES:
+        if cfg.family is None or FAMILIES[cfg.family].spectrum is None:
             raise InputError("--closed-form needs a supported --family")
-        s = spectra.closed_form_spectrum(cfg.family, *cfg.params)
+        g, s = family_member(_spec(cfg))
     else:
+        g = _input_graph(cfg)
         matrix = exact.signless_laplacian_matrix(g) if cfg.signless else exact.laplacian_matrix(g)
         s = spectra.numeric_spectrum(matrix)
     residual = spectra.trace_check(s, g)
@@ -191,10 +190,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
-    g = _input_graph(cfg)
-    if cfg.family is not None and cfg.family in spectra.CLOSED_FORM_SPECTRUM_FAMILIES:
-        s = spectra.closed_form_spectrum(cfg.family, *cfg.params)
+    if cfg.family is not None:
+        g, s = family_member(_spec(cfg))
     else:
+        g = read_edge_list(cfg.edge_list)
         s = spectra.numeric_spectrum(exact.laplacian_matrix(g))
     stats = limits.mean_variance(s)
     payload = {"family": cfg.family, "n": g.n, "mu": stats.mu, "sigma2": stats.sigma2}
@@ -205,8 +204,7 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 def cmd_diagnose(cfg: RunConfig) -> int:
     if cfg.family is not None:
-        size = cfg.params if cfg.family in TWO_PARAM_FAMILIES else cfg.params[0]
-        row = diagnostics.diagnose_family(cfg.family, size, cfg.seed)
+        row = diagnostics.diagnose_family(cfg.family, cfg.params, cfg.seed)
     else:
         row = diagnostics.diagnose_graph(read_edge_list(cfg.edge_list))
     rows = [row]

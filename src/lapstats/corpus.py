@@ -16,16 +16,16 @@ from dataclasses import dataclass
 
 from . import exact, limits, spectra
 from .errors import InputError
-from .graphs import (
+from .families import (
+    FAMILIES,
     FamilySpec,
-    Graph,
-    component_count,
-    is_bipartite,
+    closed_form_coefficients,
+    closed_form_spectrum,
     make_family,
     random_regular,
     random_tree,
-    subdivision,
 )
+from .graphs import Graph, component_count, cone, is_bipartite, subdivision
 
 TREE_SEEDS = tuple(range(20))
 REGULAR_SEEDS = tuple(range(10))
@@ -194,8 +194,8 @@ def _check_sandwich(corpus: _Corpus) -> CheckResult:
     name = "star-path coefficient sandwich"
     for label, t in corpus.trees:
         n = t.n
-        lower = exact.closed_form_coefficients("star", n)
-        upper = exact.closed_form_coefficients("path", n)
+        lower = closed_form_coefficients("star", n)
+        upper = closed_form_coefficients("path", n)
         c = corpus.coeffs[label]
         for k in range(n + 1):
             if not lower[k] <= c[k] <= upper[k]:
@@ -217,7 +217,7 @@ def _check_bipartite_signless(corpus: _Corpus) -> CheckResult:
 
 # every corpus family member with a closed coefficient formula
 _CLOSED_FORM_CASES = tuple(
-    (f, p) for f, p in _FAMILY_MEMBERS if f in exact.CLOSED_FORM_COEFF_FAMILIES
+    (f, p) for f, p in _FAMILY_MEMBERS if FAMILIES[f].coefficients is not None
 )
 
 
@@ -225,7 +225,7 @@ def _check_closed_form_coefficients(corpus: _Corpus) -> CheckResult:
     name = "closed-form coefficient equality"
     for family, params in _CLOSED_FORM_CASES:
         label = _label(family, params)
-        if exact.closed_form_coefficients(family, *params) != corpus.coeffs[label]:
+        if closed_form_coefficients(family, *params) != corpus.coeffs[label]:
             return _fail(name, label, "closed form != exact pipeline")
     return CheckResult(name, True, f"{len(_CLOSED_FORM_CASES)} family members")
 
@@ -246,7 +246,7 @@ def _check_closed_vs_numeric_spectra(corpus: _Corpus) -> CheckResult:
     name = "closed-form vs numeric spectra"
     for family, params in _SPECTRUM_CASES:
         g = make_family(FamilySpec(family, params))
-        want = spectra.closed_form_spectrum(family, *params)
+        want = closed_form_spectrum(family, *params)
         got = spectra.numeric_spectrum(exact.laplacian_matrix(g))
         gap = max(abs(a - b) for a, b in zip(want.values, got.values))
         if len(want) != len(got) or gap > 1e-8:
@@ -287,8 +287,6 @@ def _check_reconstruction(corpus: _Corpus) -> CheckResult:
 
 def _check_cone_transform(corpus: _Corpus) -> CheckResult:
     name = "cone spectrum transform"
-    from .graphs import cone
-
     cases = [(b.label, b.graph, b.spectrum) for b in corpus.bundles if 1 <= b.graph.n <= 12]
     for n in (15, 25, 40):
         g = make_family(FamilySpec("cycle", (n,)))
@@ -321,8 +319,7 @@ def _check_variance_bounds(corpus: _Corpus) -> CheckResult:
         if stats.sigma2 + 1e-12 < limits.variance_lower_bound(b.graph):
             return _fail(name, b.label, "sigma2 below edge/degree bound")
     for n in range(3, 12):
-        g = make_family(FamilySpec("wheel", (n,)))
-        stats = limits.mean_variance(spectra.closed_form_spectrum("wheel", n))
+        stats = limits.mean_variance(closed_form_spectrum("wheel", n))
         if stats.sigma2 + 1e-12 < limits.cone_variance_lower_bound(n, 2):
             return _fail(name, f"wheel-{n}", "sigma2 below cone bound")
     return CheckResult(name, True, f"{len(corpus.bundles)} graphs + wheels 3..11")

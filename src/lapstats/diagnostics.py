@@ -1,10 +1,13 @@
 """Per-graph diagnostic rows and family sweeps.
 
 A row bundles the structural facts (edges, max degree), the spectrum-side
-statistics, the distribution distances and a regime verdict. Sweeps map a
-family over a size ladder; ladder entries may be computed concurrently but
-rows are always assembled in ascending size order, so output never depends
-on scheduling.
+statistics, the distribution distances and a regime verdict. Every row takes
+its probabilities from one route, the Poisson-binomial expansion of the
+spectrum (``limits.probabilities_from_spectrum``); the spectrum is the
+family's closed form where it has one, which is then never built, and the
+numeric spectrum otherwise. Sweeps map a family over a size ladder; ladder
+entries may be computed concurrently but rows are always assembled in
+ascending size order, so output never depends on scheduling.
 """
 
 from __future__ import annotations
@@ -15,17 +18,8 @@ from dataclasses import dataclass
 
 from . import exact, limits, spectra
 from .errors import InputError
-from .graphs import FamilySpec, Graph, make_family, max_degree
-
-# families whose coefficient sequence stays Poisson-like (bounded variance);
-# every other named family has variance growing with size
-POISSON_FAMILIES = frozenset({"complete", "complete_bipartite"})
-
-# largest vertex count for which the dense exact pipeline is used when no
-# closed-form coefficient formula exists; the O(n^4) integer charpoly gets
-# painful quickly, and the log-domain spectral expansion is accurate far
-# beyond what the reported distances resolve
-_EXACT_COEFF_CAP = 64
+from .families import FamilySpec, Shape, family_member, family_record
+from .graphs import Graph
 
 VERDICT_POISSON = "poisson-regime"
 VERDICT_NORMAL = "normal-regime"
@@ -50,70 +44,42 @@ class DiagnosticsRow:
     elapsed: float = 0.0  # seconds; never serialized
 
 
-def _family_params(family: str, size: int | tuple[int, ...]) -> tuple[int, ...]:
-    if isinstance(size, tuple):
-        return size
-    if family == "complete_bipartite":
-        return (size, size)
-    return (size,)
+_VERDICTS = {"normal": VERDICT_NORMAL, "poisson": VERDICT_POISSON}
 
 
-def _family_spectrum(family: str, params: tuple[int, ...], g: Graph) -> spectra.Spectrum:
-    if family in spectra.CLOSED_FORM_SPECTRUM_FAMILIES:
-        return spectra.closed_form_spectrum(family, *params)
-    return spectra.numeric_spectrum(exact.laplacian_matrix(g))
-
-
-def _family_probabilities(family: str, params: tuple[int, ...], g: Graph,
-                          spectrum: spectra.Spectrum) -> list[float]:
-    if family in exact.CLOSED_FORM_COEFF_FAMILIES:
-        return limits.normalized_probabilities(exact.closed_form_coefficients(family, *params))
-    if g.n <= _EXACT_COEFF_CAP:
-        return limits.normalized_probabilities(exact.laplacian_coefficients(g))
-    return limits.probabilities_from_spectrum(spectrum)
-
-
-def _poisson_reference_for(family: str | None, params: tuple[int, ...]) -> tuple[float, int] | None:
-    if family == "complete":
-        return (1.0, 1)
-    if family == "complete_bipartite" and params[0] == params[1]:
-        return (2.0, 1)
-    return None
+def _row(family: str | None, shape: Graph | Shape, spectrum: spectra.Spectrum,
+         poisson: tuple[float, int] | None = None) -> DiagnosticsRow:
+    stats = limits.mean_variance(spectrum)
+    probs = limits.probabilities_from_spectrum(spectrum)
+    return DiagnosticsRow(
+        family=family,
+        n=shape.n,
+        edges=shape.edge_count,
+        max_degree=shape.max_degree,
+        mu=stats.mu,
+        sigma2=stats.sigma2,
+        sigma2_lower_bound=limits.variance_lower_bound(shape),
+        clt_distance=limits.clt_distance(probs, stats),
+        llt_distance=limits.llt_distance(probs, stats),
+        poisson_distance=None if poisson is None else limits.poisson_distance(probs, *poisson),
+        verdict=VERDICT_UNKNOWN,
+    )
 
 
 def diagnose_family(family: str, size: int | tuple[int, ...],
                     seed: int | None = None) -> DiagnosticsRow:
-    """Full diagnostic row for one family member."""
+    """Full diagnostic row for one family member; an integer size stands
+    for that value in every size parameter."""
     started = time.perf_counter()
-    params = _family_params(family, size)
-    g = make_family(FamilySpec(family, params, seed))
-    spectrum = _family_spectrum(family, params, g)
-    stats = limits.mean_variance(spectrum)
-    probs = _family_probabilities(family, params, g, spectrum)
-    clt = limits.clt_distance(probs, stats)
-    llt = limits.llt_distance(probs, stats)
-    reference = _poisson_reference_for(family, params)
-    poisson = None
-    if reference is not None:
-        poisson = limits.poisson_distance(probs, reference[0], reference[1])
-    verdict = VERDICT_POISSON if family in POISSON_FAMILIES else VERDICT_NORMAL
-    row = DiagnosticsRow(
-        family=family,
-        n=g.n,
-        edges=g.edge_count,
-        max_degree=max_degree(g),
-        mu=stats.mu,
-        sigma2=stats.sigma2,
-        sigma2_lower_bound=limits.variance_lower_bound(g),
-        clt_distance=clt,
-        llt_distance=llt,
-        poisson_distance=poisson,
-        verdict=verdict,
-    )
-    if family in limits.FAMILY_LIMIT_CONSTANTS:
-        mu_c, s2_c = limits.family_limit_constants(family)
-        row.mu_per_vertex_err = abs(stats.mu / g.n - mu_c)
-        row.sigma2_per_vertex_err = abs(stats.sigma2 / g.n - s2_c)
+    record = family_record(family)
+    params = size if isinstance(size, tuple) else (size,) * record.arity
+    shape, spectrum = family_member(FamilySpec(family, params, seed))
+    row = _row(family, shape, spectrum, record.poisson(*params) if record.poisson else None)
+    row.verdict = _VERDICTS[record.regime]
+    if record.limits is not None:
+        mu_c, s2_c = record.limits
+        row.mu_per_vertex_err = abs(row.mu / row.n - mu_c)
+        row.sigma2_per_vertex_err = abs(row.sigma2 / row.n - s2_c)
     row.elapsed = time.perf_counter() - started
     return row
 
@@ -121,25 +87,7 @@ def diagnose_family(family: str, size: int | tuple[int, ...],
 def diagnose_graph(g: Graph) -> DiagnosticsRow:
     """Diagnostic row for an arbitrary graph (no family knowledge)."""
     started = time.perf_counter()
-    spectrum = spectra.numeric_spectrum(exact.laplacian_matrix(g))
-    stats = limits.mean_variance(spectrum)
-    if g.n <= _EXACT_COEFF_CAP:
-        probs = limits.normalized_probabilities(exact.laplacian_coefficients(g))
-    else:
-        probs = limits.probabilities_from_spectrum(spectrum)
-    row = DiagnosticsRow(
-        family=None,
-        n=g.n,
-        edges=g.edge_count,
-        max_degree=max_degree(g),
-        mu=stats.mu,
-        sigma2=stats.sigma2,
-        sigma2_lower_bound=limits.variance_lower_bound(g),
-        clt_distance=limits.clt_distance(probs, stats),
-        llt_distance=limits.llt_distance(probs, stats),
-        poisson_distance=None,
-        verdict=VERDICT_UNKNOWN,
-    )
+    row = _row(None, g, spectra.numeric_spectrum(exact.laplacian_matrix(g)))
     row.elapsed = time.perf_counter() - started
     return row
 

@@ -2,8 +2,9 @@
 
 The main pipeline is a Faddeev-LeVerrier characteristic polynomial over
 Python integers. Independent combinatorial routes (spanning-forest sums,
-matching counts, a fraction-free minor determinant, closed-form family
-formulas) exist so the pipeline can be cross-checked rather than trusted.
+matching counts, a fraction-free minor determinant, and the closed-form
+family formulas in ``families``) exist so the pipeline can be cross-checked
+rather than trusted.
 
 Coefficient vectors are plain lists c[0..n] of nonnegative integers with
 sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.
@@ -11,7 +12,6 @@ sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 from .errors import GuardExceeded, InputError
@@ -19,16 +19,6 @@ from .graphs import Graph
 
 FOREST_EDGE_GUARD = 24
 MATCHING_EDGE_GUARD = 64
-
-CLOSED_FORM_COEFF_FAMILIES = (
-    "complete",
-    "star",
-    "path",
-    "cycle",
-    "matching_union",
-    "complete_bipartite",
-)
-
 
 def laplacian_matrix(g: Graph) -> list[list[int]]:
     """Degree matrix minus adjacency matrix."""
@@ -234,60 +224,6 @@ def coefficients_from_eigenvalues(values) -> list[int]:
             longer[i] += a * lam
         coeffs = longer
     return coeffs
-
-
-def _comb0(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def closed_form_coefficients(family: str, *params: int) -> list[int]:
-    """Exact coefficient vector for a supported named family.
-
-    These formulas stay cheap at sizes where the general O(n^4) pipeline is
-    out of the question, so large sweeps must use this path.
-    """
-    if family == "complete":
-        (n,) = params
-        if n < 1:
-            raise InputError("complete needs n >= 1")
-        return [0] + [n ** (n - k) * _comb0(n - 1, k - 1) for k in range(1, n + 1)]
-    if family == "star":
-        (n,) = params
-        if n < 1:
-            raise InputError("star needs n >= 1")
-        if n == 1:
-            return [0, 1]
-        return [_comb0(n - 2, k - 2) + n * _comb0(n - 2, k - 1) for k in range(n + 1)]
-    if family == "path":
-        (n,) = params
-        if n < 1:
-            raise InputError("path needs n >= 1")
-        return [_comb0(n - 1 + k, 2 * k - 1) for k in range(n + 1)]
-    if family == "cycle":
-        (n,) = params
-        if n < 3:
-            raise InputError("cycle needs n >= 3")
-        out = [0]
-        for k in range(1, n + 1):
-            numerator = 2 * n * math.comb(n + k, n - k)
-            q, r = divmod(numerator, n + k)
-            if r:
-                raise ArithmeticError(f"cycle coefficient not integral at k={k}")
-            out.append(q)
-        return out
-    if family == "matching_union":
-        (copies,) = params
-        if copies < 1:
-            raise InputError("matching_union needs >= 1 copies")
-        return [_comb0(copies, k - copies) * 2 ** (2 * copies - k) for k in range(2 * copies + 1)]
-    if family == "complete_bipartite":
-        m, n = params
-        if m < 1 or n < 1:
-            raise InputError("complete_bipartite needs both parts >= 1")
-        return coefficients_from_eigenvalues([0, m + n] + [n] * (m - 1) + [m] * (n - 1))
-    raise InputError(f"no closed-form coefficients for family {family!r}")
 
 
 def wiener_index(g: Graph) -> int:

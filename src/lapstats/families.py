@@ -1,0 +1,391 @@
+"""The named graph families, one record each.
+
+A record holds all that is known about a family: its size rule, the builder,
+the closed-form n, |E| and maximum degree, and where they exist the spectrum,
+the coefficient formula, the regime with its Poisson reference law and the
+per-vertex limit constants. ``FamilySpec`` checks a member against its record
+once, together with the vertex budget. Builders use fixed canonical labelings
+(path 0-1-...-(n-1), cycle in cyclic order, star centered at 0, hypercube
+vertices as bit patterns) so that outputs are reproducible byte for byte.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+import random
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+from . import exact, spectra
+from .errors import GuardExceeded, InputError
+from .graphs import Graph, cone, empty_graph, join
+from .spectra import Spectrum
+
+# budgets checked from the closed forms before anything is allocated
+MAX_VERTICES = 1 << 20
+MAX_EDGES = 1 << 21
+
+_REGULAR_RETRY_LIMIT = 10_000
+_SQRT5 = math.sqrt(5.0)
+
+
+class Shape(NamedTuple):
+    """Vertex count, edge count and maximum degree of a family member, read
+    like the attributes of the same name on a ``Graph``."""
+
+    n: int
+    edge_count: int
+    max_degree: int | None
+
+
+@dataclass(frozen=True)
+class Family:
+    """One named family. Every callable takes the size parameters."""
+
+    minimum: tuple[int, ...]  # least value of each size parameter; its length is the arity
+    build: Callable[..., Graph]  # also takes the seed when ``seeded``
+    order: Callable[..., int]
+    edges: Callable[..., int]
+    max_degree: Callable[..., int] | None  # None where the seed decides it
+    seeded: bool = False
+    rule: Callable[..., str | None] | None = None  # what the minimum cannot say
+    spectrum: Callable[..., Spectrum] | None = None
+    coefficients: Callable[..., list[int]] | None = None
+    regime: str = "normal"
+    poisson: Callable[..., tuple[float, int] | None] | None = None  # (mean, shift)
+    limits: tuple[float, float] | None = None  # advertised (mu/n, sigma2/n)
+
+    @property
+    def arity(self) -> int:
+        return len(self.minimum)
+
+
+# ---------------------------------------------------------------------------
+# builders; FamilySpec has checked the parameters
+
+
+def _cycle(n: int) -> Graph:
+    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+
+
+def _random_regular(n: int, d: int, seed: int) -> Graph:
+    """Configuration-model pairing with full restart whenever the pairing
+    produces a loop or a repeated edge; each restart reseeds from (seed,
+    attempt counter) so the whole draw is a pure function of the arguments.
+    """
+    for attempt in range(_REGULAR_RETRY_LIMIT):
+        rng = random.Random(seed * 1_000_003 + attempt)
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges: set[tuple[int, int]] = set()
+        ok = True
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            if u == v:
+                ok = False
+                break
+            e = (u, v) if u < v else (v, u)
+            if e in edges:
+                ok = False
+                break
+            edges.add(e)
+        if ok:
+            return Graph(n, frozenset(edges))
+    raise GuardExceeded(
+        f"no simple {d}-regular pairing on {n} vertices found in "
+        f"{_REGULAR_RETRY_LIMIT} attempts"
+    )
+
+
+def _random_tree(n: int, seed: int) -> Graph:
+    """Decode a random Pruefer sequence."""
+    if n == 1:
+        return empty_graph(1)
+    rng = random.Random(seed)
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for s in seq:
+        degree[s] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = set()
+    for s in seq:
+        leaf = heapq.heappop(leaves)
+        edges.add((leaf, s) if leaf < s else (s, leaf))
+        degree[s] -= 1
+        if degree[s] == 1:
+            heapq.heappush(leaves, s)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.add((u, v) if u < v else (v, u))
+    return Graph(n, frozenset(edges))
+
+
+def _regular_rule(n: int, d: int) -> str | None:
+    if d >= max(n, 1):
+        return f"degree must satisfy 0 <= d < n, got d={d}, n={n}"
+    if (n * d) % 2 != 0:
+        return f"no {d}-regular graph on {n} vertices: odd degree sum"
+
+
+# ---------------------------------------------------------------------------
+# spectra (exact where the values are integers, double-precision
+# trigonometric values for paths, cycles and wheels) and coefficients
+
+
+def _cycle_spectrum(n: int) -> Spectrum:
+    return Spectrum.from_values((4.0 * math.sin(j * math.pi / n) ** 2 for j in range(n)))
+
+
+def _bipartite_eigenvalues(m: int, n: int) -> list[int]:
+    return [0, m + n] + [n] * (m - 1) + [m] * (n - 1)
+
+
+def _comb0(n: int, k: int) -> int:
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def _star_coefficients(n: int) -> list[int]:
+    if n == 1:
+        return [0, 1]
+    return [_comb0(n - 2, k - 2) + n * _comb0(n - 2, k - 1) for k in range(n + 1)]
+
+
+def _cycle_coefficients(n: int) -> list[int]:
+    out = [0]
+    for k in range(1, n + 1):
+        numerator = 2 * n * math.comb(n + k, n - k)
+        q, r = divmod(numerator, n + k)
+        if r:
+            raise ArithmeticError(f"cycle coefficient not integral at k={k}")
+        out.append(q)
+    return out
+
+
+FAMILIES: dict[str, Family] = {
+    "path": Family(
+        minimum=(1,),
+        build=lambda n: Graph(n, frozenset((i, i + 1) for i in range(n - 1))),
+        order=lambda n: n,
+        edges=lambda n: n - 1,
+        max_degree=lambda n: min(n - 1, 2),
+        spectrum=lambda n: Spectrum.from_values(
+            4.0 * math.sin(j * math.pi / (2 * n)) ** 2 for j in range(n)),
+        coefficients=lambda n: [_comb0(n - 1 + k, 2 * k - 1) for k in range(n + 1)],
+        limits=(1.0 / (2.0 * _SQRT5), 1.0 / (5.0 * _SQRT5)),
+    ),
+    "cycle": Family(
+        minimum=(3,),
+        build=_cycle,
+        order=lambda n: n,
+        edges=lambda n: n,
+        max_degree=lambda n: 2,
+        spectrum=_cycle_spectrum,
+        coefficients=_cycle_coefficients,
+        limits=(1.0 / _SQRT5, 2.0 / (5.0 * _SQRT5)),
+    ),
+    "star": Family(
+        minimum=(1,),
+        build=lambda n: Graph(n, frozenset((0, i) for i in range(1, n))),
+        order=lambda n: n,
+        edges=lambda n: n - 1,
+        max_degree=lambda n: n - 1,
+        spectrum=lambda n: Spectrum.from_values(
+            [0] if n == 1 else [0, n] + [1] * (n - 2), exact=True),
+        coefficients=_star_coefficients,
+    ),
+    "complete": Family(
+        minimum=(1,),
+        build=lambda n: Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n))),
+        order=lambda n: n,
+        edges=lambda n: n * (n - 1) // 2,
+        max_degree=lambda n: n - 1,
+        spectrum=lambda n: Spectrum.from_values([0] + [n] * (n - 1), exact=True),
+        coefficients=lambda n: [0] + [n ** (n - k) * _comb0(n - 1, k - 1)
+                                      for k in range(1, n + 1)],
+        regime="poisson",
+        poisson=lambda n: (1.0, 1),
+    ),
+    "complete_bipartite": Family(
+        minimum=(1, 1),
+        build=lambda m, n: join(empty_graph(m), empty_graph(n)),
+        order=lambda m, n: m + n,
+        edges=lambda m, n: m * n,
+        max_degree=max,
+        spectrum=lambda m, n: Spectrum.from_values(_bipartite_eigenvalues(m, n), exact=True),
+        coefficients=lambda m, n: exact.coefficients_from_eigenvalues(
+            _bipartite_eigenvalues(m, n)),
+        regime="poisson",
+        poisson=lambda m, n: (2.0, 1) if m == n else None,
+    ),
+    "hypercube": Family(
+        minimum=(0,),
+        # vertices are bit patterns; an edge flips one bit
+        build=lambda d: Graph(1 << d, frozenset(
+            (v, v | 1 << b) for v in range(1 << d) for b in range(d) if not v >> b & 1)),
+        order=lambda d: 1 << d,
+        edges=lambda d: d * (1 << d) // 2,
+        max_degree=lambda d: d,
+        spectrum=lambda d: Spectrum.from_values(
+            (2 * k for k in range(d + 1) for _ in range(math.comb(d, k))), exact=True),
+    ),
+    "matching_union": Family(
+        minimum=(1,),
+        build=lambda copies: Graph(2 * copies, frozenset(
+            (2 * i, 2 * i + 1) for i in range(copies))),
+        order=lambda copies: 2 * copies,
+        edges=lambda copies: copies,
+        max_degree=lambda copies: 1,
+        spectrum=lambda copies: Spectrum.from_values([0] * copies + [2] * copies, exact=True),
+        coefficients=lambda copies: [_comb0(copies, k - copies) * 2 ** (2 * copies - k)
+                                     for k in range(2 * copies + 1)],
+    ),
+    "wheel": Family(
+        minimum=(3,),
+        build=lambda n: cone(_cycle(n)),
+        order=lambda n: n + 1,
+        edges=lambda n: 2 * n,
+        max_degree=lambda n: n,
+        spectrum=lambda n: spectra.cone_spectrum(_cycle_spectrum(n), n),
+    ),
+    "complete_binary_tree": Family(
+        minimum=(0,),
+        # heap labeling: the parent of vertex c is (c - 1) // 2
+        build=lambda depth: Graph((1 << (depth + 1)) - 1, frozenset(
+            ((c - 1) // 2, c) for c in range(1, (1 << (depth + 1)) - 1))),
+        order=lambda depth: (1 << (depth + 1)) - 1,
+        edges=lambda depth: (1 << (depth + 1)) - 2,
+        max_degree=lambda depth: (0, 2, 3)[min(depth, 2)],
+    ),
+    "random_regular": Family(
+        minimum=(0, 0),
+        rule=_regular_rule,
+        seeded=True,
+        build=_random_regular,
+        order=lambda n, d: n,
+        edges=lambda n, d: n * d // 2,
+        max_degree=lambda n, d: d,
+    ),
+    "random_tree": Family(
+        minimum=(1,),
+        seeded=True,
+        build=_random_tree,
+        order=lambda n: n,
+        edges=lambda n: n - 1,
+        max_degree=None,
+    ),
+}
+
+
+def family_record(family: str) -> Family:
+    try:
+        return FAMILIES[family]
+    except KeyError:
+        raise InputError(f"unknown family {family!r}") from None
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """A named graph family together with its size parameters and, for the
+    seeded families only, a seed. Construction checks the family's size rule
+    and the vertex budget, so a spec always names a graph that may be built.
+    """
+
+    family: str
+    size: tuple[int, ...]
+    seed: int | None = None
+
+    def __post_init__(self) -> None:
+        record = family_record(self.family)
+        if len(self.size) != record.arity or any(
+                s < low for s, low in zip(self.size, record.minimum)):
+            raise InputError(
+                f"family {self.family!r} takes {record.arity} size parameter(s), "
+                f"each at least {record.minimum!r}, got {self.size!r}"
+            )
+        problem = record.rule(*self.size) if record.rule else None
+        if problem:
+            raise InputError(problem)
+        if (self.seed is not None) != record.seeded:
+            raise InputError(
+                f"seed must be given exactly for random families; family "
+                f"{self.family!r} with seed {self.seed!r}"
+            )
+        # n is at least every size parameter, so the first test keeps the
+        # exponential orders (hypercube, binary tree) from growing huge
+        if max(self.size) > MAX_VERTICES or record.order(*self.size) > MAX_VERTICES:
+            raise GuardExceeded(
+                f"{self.family} {self.size!r} exceeds the budget of {MAX_VERTICES} vertices"
+            )
+
+
+def family_shape(spec: FamilySpec) -> Shape:
+    """n, |E| and the maximum degree from the closed forms, without building."""
+    r = FAMILIES[spec.family]
+    return Shape(r.order(*spec.size), r.edges(*spec.size),
+                 r.max_degree(*spec.size) if r.max_degree else None)
+
+
+def make_family(spec: FamilySpec) -> Graph:
+    """Construct the graph described by a FamilySpec, within the edge budget."""
+    r = FAMILIES[spec.family]
+    edges = r.edges(*spec.size)
+    if edges > MAX_EDGES:
+        raise GuardExceeded(
+            f"{spec.family} {spec.size!r} has {edges} edges, above the budget of {MAX_EDGES}"
+        )
+    if r.seeded:
+        return r.build(*spec.size, spec.seed)
+    return r.build(*spec.size)
+
+
+def family_member(spec: FamilySpec) -> tuple[Graph | Shape, Spectrum]:
+    """The member's shape and Laplacian spectrum: closed forms where the
+    family has a closed-form spectrum, which is then never built; otherwise
+    the built graph and its numeric spectrum."""
+    r = FAMILIES[spec.family]
+    if r.spectrum is not None:
+        return family_shape(spec), r.spectrum(*spec.size)
+    g = make_family(spec)
+    return g, spectra.numeric_spectrum(exact.laplacian_matrix(g))
+
+
+def _closed_form(field: str, family: str, params: tuple[int, ...]):
+    formula = getattr(family_record(family), field)
+    if formula is None:
+        raise InputError(f"no closed-form {field} for family {family!r}")
+    return formula(*FamilySpec(family, params).size)
+
+
+def closed_form_spectrum(family: str, *params: int) -> Spectrum:
+    """Known spectrum of a named family; exact where the values are integers,
+    double-precision trigonometric values for paths, cycles and wheels."""
+    return _closed_form("spectrum", family, params)
+
+
+def closed_form_coefficients(family: str, *params: int) -> list[int]:
+    """Exact coefficient vector for a supported named family.
+
+    These formulas stay cheap at sizes where the general O(n^4) pipeline is
+    out of the question; ``coeffs --closed-form`` and ``verify`` use them.
+    """
+    return _closed_form("coefficients", family, params)
+
+
+def family_limit_constants(family: str) -> tuple[float, float]:
+    """Advertised per-vertex limits (mu/n, sigma2/n) for paths and cycles."""
+    constants = family_record(family).limits
+    if constants is None:
+        raise InputError(f"no limit constants for family {family!r}")
+    return constants
+
+
+def random_regular(n: int, d: int, seed: int) -> Graph:
+    """Sample a simple d-regular graph on n vertices, deterministic per seed."""
+    return make_family(FamilySpec("random_regular", (n, d), seed))
+
+
+def random_tree(n: int, seed: int) -> Graph:
+    """Sample a uniformly random labeled tree via a random Pruefer sequence."""
+    return make_family(FamilySpec("random_tree", (n,), seed))

@@ -1,39 +1,18 @@
-"""Simple undirected graphs: named families, combinators, random generators.
+"""Simple undirected graphs: the immutable value, combinators, basic
+statistics and the edge-list text format.
 
 Vertices are 0-based contiguous integers and edges are unordered pairs of
 distinct vertices, stored as (min, max) tuples. Every constructor returns an
-immutable value, so graphs are safe to share, hash and compare. Family
-generators use fixed canonical labelings (path 0-1-...-(n-1), cycle in cyclic
-order, star centered at 0, hypercube vertices as bit patterns) so that
-outputs are reproducible byte for byte.
+immutable value, so graphs are safe to share, hash and compare. The named
+families live in ``families``.
 """
 
 from __future__ import annotations
 
-import heapq
-import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import GuardExceeded, InputError
-
-RANDOM_FAMILIES = frozenset({"random_regular", "random_tree"})
-TWO_PARAM_FAMILIES = frozenset({"complete_bipartite", "random_regular"})
-FAMILIES = (
-    "path",
-    "cycle",
-    "star",
-    "complete",
-    "complete_bipartite",
-    "hypercube",
-    "matching_union",
-    "wheel",
-    "complete_binary_tree",
-    "random_regular",
-    "random_tree",
-)
-
-_REGULAR_RETRY_LIMIT = 10_000
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -60,6 +39,10 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @property
+    def max_degree(self) -> int:
+        return max(self.degrees(), default=0)
+
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for u, v in self.edges:
@@ -77,36 +60,6 @@ class Graph:
         return adj
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named graph family together with its size parameters.
-
-    ``size`` carries one integer for most families and two for
-    complete_bipartite (part sizes) and random_regular (count, degree).
-    ``seed`` must be given exactly for the random families.
-    """
-
-    family: str
-    size: tuple[int, ...]
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise InputError(f"unknown family {self.family!r}")
-        want = 2 if self.family in TWO_PARAM_FAMILIES else 1
-        if len(self.size) != want:
-            raise InputError(
-                f"family {self.family!r} takes {want} size parameter(s), got {self.size!r}"
-            )
-        if any(s < 0 for s in self.size):
-            raise InputError(f"size parameters must be nonnegative: {self.size!r}")
-        if (self.seed is not None) != (self.family in RANDOM_FAMILIES):
-            raise InputError(
-                f"seed must be given exactly for random families; family "
-                f"{self.family!r} with seed {self.seed!r}"
-            )
-
-
 def graph_from_edge_list(n: int, pairs) -> Graph:
     """Build a graph from explicit vertex pairs, deduplicating repeats."""
     return Graph(n, frozenset(tuple(p) for p in pairs))
@@ -114,161 +67,6 @@ def graph_from_edge_list(n: int, pairs) -> Graph:
 
 def empty_graph(n: int) -> Graph:
     return Graph(n, frozenset())
-
-
-# ---------------------------------------------------------------------------
-# named families
-
-
-def _path(n: int) -> Graph:
-    if n < 1:
-        raise InputError(f"path needs n >= 1, got {n}")
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
-
-
-def _cycle(n: int) -> Graph:
-    if n < 3:
-        raise InputError(f"cycle needs n >= 3, got {n}")
-    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
-
-
-def _star(n: int) -> Graph:
-    if n < 1:
-        raise InputError(f"star needs n >= 1, got {n}")
-    return Graph(n, frozenset((0, i) for i in range(1, n)))
-
-
-def _complete(n: int) -> Graph:
-    if n < 1:
-        raise InputError(f"complete needs n >= 1, got {n}")
-    return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
-def _complete_bipartite(m: int, n: int) -> Graph:
-    if m < 1 or n < 1:
-        raise InputError(f"complete_bipartite needs both parts >= 1, got ({m}, {n})")
-    return Graph(m + n, frozenset((i, m + j) for i in range(m) for j in range(n)))
-
-
-def _hypercube(d: int) -> Graph:
-    edges = set()
-    for v in range(1 << d):
-        for bit in range(d):
-            w = v ^ (1 << bit)
-            if v < w:
-                edges.add((v, w))
-    return Graph(1 << d, frozenset(edges))
-
-
-def _matching_union(copies: int) -> Graph:
-    if copies < 1:
-        raise InputError(f"matching_union needs >= 1 copies, got {copies}")
-    return Graph(2 * copies, frozenset((2 * i, 2 * i + 1) for i in range(copies)))
-
-
-def _complete_binary_tree(depth: int) -> Graph:
-    nv = (1 << (depth + 1)) - 1
-    edges = set()
-    for i in range(nv):
-        for child in (2 * i + 1, 2 * i + 2):
-            if child < nv:
-                edges.add((i, child))
-    return Graph(nv, frozenset(edges))
-
-
-def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Sample a simple d-regular graph on n vertices, deterministic per seed.
-
-    Configuration-model pairing with full restart whenever the pairing
-    produces a loop or a repeated edge; each restart reseeds from (seed,
-    attempt counter) so the whole draw is a pure function of the arguments.
-    """
-    if d < 0 or d >= max(n, 1):
-        raise InputError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
-    if (n * d) % 2 != 0:
-        raise InputError(f"no {d}-regular graph on {n} vertices: odd degree sum")
-    if d == 0:
-        return empty_graph(n)
-    for attempt in range(_REGULAR_RETRY_LIMIT):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if ok:
-            return Graph(n, frozenset(edges))
-    raise GuardExceeded(
-        f"no simple {d}-regular pairing on {n} vertices found in "
-        f"{_REGULAR_RETRY_LIMIT} attempts"
-    )
-
-
-def random_tree(n: int, seed: int) -> Graph:
-    """Sample a uniformly random labeled tree via a random Pruefer sequence."""
-    if n < 1:
-        raise InputError(f"random_tree needs n >= 1, got {n}")
-    if n == 1:
-        return empty_graph(1)
-    if n == 2:
-        return Graph(2, frozenset({(0, 1)}))
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for s in seq:
-        degree[s] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = set()
-    for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.add((leaf, s) if leaf < s else (s, leaf))
-        degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.add((u, v) if u < v else (v, u))
-    return Graph(n, frozenset(edges))
-
-
-def make_family(spec: FamilySpec) -> Graph:
-    """Construct the graph described by a FamilySpec."""
-    fam, size = spec.family, spec.size
-    if fam == "path":
-        return _path(size[0])
-    if fam == "cycle":
-        return _cycle(size[0])
-    if fam == "star":
-        return _star(size[0])
-    if fam == "complete":
-        return _complete(size[0])
-    if fam == "complete_bipartite":
-        return _complete_bipartite(size[0], size[1])
-    if fam == "hypercube":
-        return _hypercube(size[0])
-    if fam == "matching_union":
-        return _matching_union(size[0])
-    if fam == "wheel":
-        if size[0] < 3:
-            raise InputError(f"wheel needs rim size >= 3, got {size[0]}")
-        return cone(_cycle(size[0]))
-    if fam == "complete_binary_tree":
-        return _complete_binary_tree(size[0])
-    if fam == "random_regular":
-        return random_regular(size[0], size[1], spec.seed)
-    if fam == "random_tree":
-        return random_tree(size[0], spec.seed)
-    raise InputError(f"unknown family {fam!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +127,7 @@ def edge_count(g: Graph) -> int:
 
 
 def max_degree(g: Graph) -> int:
-    return max(g.degrees(), default=0) if g.n else 0
+    return g.max_degree
 
 
 def component_count(g: Graph) -> int:

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, max_degree
+from .graphs import Graph
 from .spectra import Spectrum
-
-_SQRT5 = math.sqrt(5.0)
-
-FAMILY_LIMIT_CONSTANTS = {
-    "path": (1.0 / (2.0 * _SQRT5), 1.0 / (5.0 * _SQRT5)),
-    "cycle": (1.0 / _SQRT5, 2.0 / (5.0 * _SQRT5)),
-}
 
 
 @dataclass(frozen=True)
@@ -75,8 +68,11 @@ def probabilities_from_spectrum(s: Spectrum) -> list[float]:
     """Normalized coefficient distribution of prod(x + lam), expanded in the
     log domain straight from the eigenvalues.
 
-    Serves families whose spectra are known in closed form at sizes where
-    exact coefficient formulas are not available.
+    Dividing by prod(1 + lam) gives prod(q_i + p_i x) with p_i = 1/(1 + lam_i),
+    so this is the Poisson-binomial law of the normalized coefficients
+    (Harper's method). It is the one route ``diagnostics`` takes for every
+    spectrum, closed-form or numeric; exact integers stay in ``coeffs`` and
+    ``verify``.
     """
     logc = np.array([0.0])
     for lam in sorted(s.values):
@@ -167,9 +163,9 @@ def poisson_distance(probs, mean: float, k_shift: int) -> float:
 
 
 def variance_lower_bound(g: Graph) -> float:
-    """2|E| / (1 + 2 * max degree)^2, a lower bound on sigma2."""
-    delta = max_degree(g)
-    return 2.0 * g.edge_count / (1.0 + 2.0 * delta) ** 2
+    """2|E| / (1 + 2 * max degree)^2, a lower bound on sigma2. ``g`` may
+    also be a ``families.Shape``."""
+    return 2.0 * g.edge_count / (1.0 + 2.0 * g.max_degree) ** 2
 
 
 def cone_variance_lower_bound(base_n: int, d: int) -> float:
@@ -181,11 +177,3 @@ def cone_variance_lower_bound(base_n: int, d: int) -> float:
 def hypercube_variance_lower_bound(d: int) -> float:
     """Lower bound 2d(2^d - 1)/(1 + 2d)^2 on sigma2 of the d-cube."""
     return 2.0 * d * (2 ** d - 1) / (1.0 + 2.0 * d) ** 2
-
-
-def family_limit_constants(family: str) -> tuple[float, float]:
-    """Advertised per-vertex limits (mu/n, sigma2/n) for paths and cycles."""
-    try:
-        return FAMILY_LIMIT_CONSTANTS[family]
-    except KeyError:
-        raise InputError(f"no limit constants for family {family!r}") from None

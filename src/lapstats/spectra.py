@@ -1,10 +1,11 @@
-"""Laplacian spectra: a dense symmetric eigensolver, closed forms for named
-families, spectral transforms for joins and cones, and eigenvalue bounds.
+"""Laplacian spectra: a dense symmetric eigensolver, spectral transforms for
+joins and cones, and eigenvalue bounds.
 
 The numeric solver is LAPACK's symmetric eigensolver through numpy
 ``eigvalsh``. Each result must pass a trace certificate (eigenvalue sum
 against the matrix trace); the solver fails loudly instead of returning junk.
-The closed-form spectra are its oracle in ``verify`` and the tests.
+The closed-form family spectra in ``families`` are its oracle in ``verify``
+and the tests.
 """
 
 from __future__ import annotations
@@ -21,17 +22,6 @@ DEFAULT_TOL = 1e-12
 TRACE_TOL = 1e-8
 ZERO_MATCH_TOL = 1e-8
 
-CLOSED_FORM_SPECTRUM_FAMILIES = (
-    "path",
-    "cycle",
-    "star",
-    "complete",
-    "hypercube",
-    "matching_union",
-    "complete_bipartite",
-    "wheel",
-)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -44,9 +34,9 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.values)
 
-
-def _sorted_spectrum(values, exact: bool) -> Spectrum:
-    return Spectrum(tuple(sorted((float(v) for v in values), reverse=True)), exact)
+    @classmethod
+    def from_values(cls, values, exact: bool = False) -> Spectrum:
+        return cls(tuple(sorted((float(v) for v in values), reverse=True)), exact)
 
 
 def numeric_spectrum(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
@@ -81,60 +71,7 @@ def numeric_spectrum(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     if not residual <=TRACE_TOL * max(1.0, abs(trace)):
         raise ConvergenceError(f"eigenvalue sum misses the trace by {residual:.3e}")
     snap = 10.0 * tol * scale
-    return _sorted_spectrum((0.0 if -snap < v < 0.0 else v for v in values), exact=False)
-
-
-def closed_form_spectrum(family: str, *params: int) -> Spectrum:
-    """Known spectrum of a named family; exact where the values are integers,
-    double-precision trigonometric values for paths, cycles and wheels."""
-    if family == "path":
-        (n,) = params
-        if n < 1:
-            raise InputError("path needs n >= 1")
-        return _sorted_spectrum(
-            (4.0 * math.sin(j * math.pi / (2 * n)) ** 2 for j in range(n)), exact=False
-        )
-    if family == "cycle":
-        (n,) = params
-        if n < 3:
-            raise InputError("cycle needs n >= 3")
-        return _sorted_spectrum(
-            (4.0 * math.sin(j * math.pi / n) ** 2 for j in range(n)), exact=False
-        )
-    if family == "star":
-        (n,) = params
-        if n < 1:
-            raise InputError("star needs n >= 1")
-        if n == 1:
-            return Spectrum((0.0,), exact=True)
-        return _sorted_spectrum([0, n] + [1] * (n - 2), exact=True)
-    if family == "complete":
-        (n,) = params
-        if n < 1:
-            raise InputError("complete needs n >= 1")
-        return _sorted_spectrum([0] + [n] * (n - 1), exact=True)
-    if family == "hypercube":
-        (d,) = params
-        values: list[int] = []
-        for k in range(d + 1):
-            values.extend([2 * k] * math.comb(d, k))
-        return _sorted_spectrum(values, exact=True)
-    if family == "matching_union":
-        (copies,) = params
-        if copies < 1:
-            raise InputError("matching_union needs >= 1 copies")
-        return _sorted_spectrum([0] * copies + [2] * copies, exact=True)
-    if family == "complete_bipartite":
-        m, n = params
-        if m < 1 or n < 1:
-            raise InputError("complete_bipartite needs both parts >= 1")
-        return _sorted_spectrum([0, m + n] + [n] * (m - 1) + [m] * (n - 1), exact=True)
-    if family == "wheel":
-        (n,) = params
-        if n < 3:
-            raise InputError("wheel needs rim size >= 3")
-        return cone_spectrum(closed_form_spectrum("cycle", n), n)
-    raise InputError(f"no closed-form spectrum for family {family!r}")
+    return Spectrum.from_values(0.0 if -snap < v < 0.0 else v for v in values)
 
 
 def _drop_one_zero(s: Spectrum, tol: float, what: str) -> list[float]:
@@ -162,7 +99,7 @@ def join_spectrum(s1: Spectrum, n1: int, s2: Spectrum, n2: int,
     values = [0.0, float(n1 + n2)]
     values.extend(n2 + v for v in rest1)
     values.extend(n1 + v for v in rest2)
-    return _sorted_spectrum(values, exact=s1.exact and s2.exact)
+    return Spectrum.from_values(values, exact=s1.exact and s2.exact)
 
 
 def cone_spectrum(s: Spectrum, n: int, tol: float = ZERO_MATCH_TOL) -> Spectrum:
@@ -184,7 +121,8 @@ def anderson_morley_bound(g: Graph) -> int:
 
 
 def trace_check(s: Spectrum, g: Graph) -> float:
-    """|sum of eigenvalues - 2|E||, a solver health metric."""
+    """|sum of eigenvalues - 2|E||, a solver health metric. ``g`` may also be
+    a ``families.Shape``, so closed-form members need not be built."""
     return abs(math.fsum(s.values) - 2.0 * g.edge_count)
 
 

@@ -19,7 +19,6 @@ import pytest
 from lapstats.corpus import corpus_graphs, corpus_trees
 from lapstats.diagnostics import run_sweep
 from lapstats.exact import (
-    closed_form_coefficients,
     coefficients_from_eigenvalues,
     forest_sum_oracle,
     laplacian_coefficients,
@@ -29,17 +28,21 @@ from lapstats.exact import (
     spanning_tree_count,
     wiener_index,
 )
-from lapstats.graphs import (
+from lapstats.families import (
     FamilySpec,
+    closed_form_coefficients,
+    closed_form_spectrum,
+    family_limit_constants,
+    make_family,
+)
+from lapstats.graphs import (
     component_count,
     is_bipartite,
-    make_family,
     subdivision,
 )
 from lapstats.limits import (
     clt_distance,
     cone_variance_lower_bound,
-    family_limit_constants,
     llt_distance,
     mean_variance,
     normalized_probabilities,
@@ -48,7 +51,6 @@ from lapstats.limits import (
 )
 from lapstats.spectra import (
     anderson_morley_bound,
-    closed_form_spectrum,
     cone_spectrum,
     gershgorin_bound,
     numeric_spectrum,

@@ -1,5 +1,6 @@
 import pytest
 
+from lapstats.corpus import REGULAR_SEEDS, REGULAR_SHAPES, corpus_trees
 from lapstats.diagnostics import (
     VERDICT_NORMAL,
     VERDICT_POISSON,
@@ -9,8 +10,22 @@ from lapstats.diagnostics import (
     run_sweep,
 )
 from lapstats.errors import InputError
+from lapstats.exact import laplacian_coefficients, laplacian_matrix
+from lapstats.families import (
+    closed_form_coefficients,
+    closed_form_spectrum,
+    random_regular,
+    random_tree,
+)
 from lapstats.graphs import graph_from_edge_list
-from lapstats.limits import cone_variance_lower_bound
+from lapstats.limits import (
+    clt_distance,
+    cone_variance_lower_bound,
+    llt_distance,
+    mean_variance,
+    normalized_probabilities,
+)
+from lapstats.spectra import numeric_spectrum
 
 
 class TestDiagnose:
@@ -96,3 +111,29 @@ class TestSweep:
         rows = run_sweep("random_tree", (10, 20, 40), seed=3)
         assert [r.n for r in rows] == [10, 20, 40]
         assert all(r.edges == r.n - 1 for r in rows)
+
+
+class TestExactRouteOracle:
+    """Rows take their probabilities from the spectrum; the exact integer
+    coefficients must give the same distances."""
+
+    @staticmethod
+    def _assert_close(row, coeffs, stats):
+        probs = normalized_probabilities(coeffs)
+        assert abs(row.clt_distance - clt_distance(probs, stats)) <= 1e-10
+        assert abs(row.llt_distance - llt_distance(probs, stats)) <= 1e-10
+
+    def test_arbitrary_graphs(self):
+        graphs = [g for _, g in corpus_trees(max_n=9)]
+        graphs += [random_regular(n, d, s) for n, d in REGULAR_SHAPES for s in REGULAR_SEEDS]
+        graphs.append(random_tree(60, 11))
+        for g in graphs:
+            stats = mean_variance(numeric_spectrum(laplacian_matrix(g)))
+            self._assert_close(diagnose_graph(g), laplacian_coefficients(g), stats)
+
+    @pytest.mark.parametrize("family, size", [
+        ("path", (3000,)), ("star", (3000,)), ("complete_bipartite", (500, 500))])
+    def test_large_families(self, family, size):
+        row = diagnose_family(family, size)
+        stats = mean_variance(closed_form_spectrum(family, *size))
+        self._assert_close(row, closed_form_coefficients(family, *size), stats)

@@ -5,7 +5,6 @@ import pytest
 from lapstats.errors import GuardExceeded, InputError
 from lapstats.exact import (
     charpoly_monic,
-    closed_form_coefficients,
     coefficients_from_eigenvalues,
     forest_sum_oracle,
     laplacian_coefficients,
@@ -16,12 +15,10 @@ from lapstats.exact import (
     spanning_tree_count,
     wiener_index,
 )
+from lapstats.families import FamilySpec, closed_form_coefficients, make_family, random_tree
 from lapstats.graphs import (
-    FamilySpec,
     empty_graph,
     graph_from_edge_list,
-    make_family,
-    random_tree,
     subdivision,
 )
 

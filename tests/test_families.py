@@ -1,0 +1,93 @@
+import pytest
+
+from lapstats import cli
+from lapstats.corpus import _FAMILY_MEMBERS
+from lapstats.errors import GuardExceeded, InputError
+from lapstats.families import (
+    MAX_EDGES,
+    MAX_VERTICES,
+    FamilySpec,
+    closed_form_coefficients,
+    closed_form_spectrum,
+    family_shape,
+    make_family,
+)
+from lapstats.graphs import Graph
+
+_EXTRA_MEMBERS = [
+    ("path", (100,), None),
+    ("wheel", (50,), None),
+    ("hypercube", (6,), None),
+    ("complete_binary_tree", (5,), None),
+    ("random_regular", (20, 3), 7),
+    ("random_tree", (30,), 7),
+]
+
+
+@pytest.mark.parametrize(
+    "family, size, seed",
+    [(f, p, None) for f, p in _FAMILY_MEMBERS] + _EXTRA_MEMBERS,
+)
+def test_table_shape_matches_built_graph(family, size, seed):
+    spec = FamilySpec(family, size, seed)
+    shape = family_shape(spec)
+    g = make_family(spec)
+    assert (shape.n, shape.edge_count) == (g.n, g.edge_count)
+    if shape.max_degree is not None:
+        assert shape.max_degree == g.max_degree
+
+
+@pytest.mark.parametrize("call", [
+    lambda: closed_form_spectrum("hypercube", -1),
+    lambda: closed_form_spectrum("path", 2, 3),
+    lambda: closed_form_coefficients("complete_bipartite", 2),
+    lambda: closed_form_coefficients("cycle", 2),
+    lambda: closed_form_spectrum("random_tree", 5),
+])
+def test_closed_form_size_rule(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.fixture
+def no_graphs(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+
+
+def test_vertex_budget_checked_before_building(no_graphs):
+    with pytest.raises(GuardExceeded):
+        FamilySpec("hypercube", (30,))
+    with pytest.raises(GuardExceeded):
+        FamilySpec("path", (MAX_VERTICES + 1,))
+    with pytest.raises(GuardExceeded):
+        FamilySpec("complete_binary_tree", (10 ** 12,))
+
+
+def test_edge_budget_checked_before_building(no_graphs):
+    spec = FamilySpec("complete", (2049,))
+    assert family_shape(spec).edge_count > MAX_EDGES
+    with pytest.raises(GuardExceeded):
+        make_family(spec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--family", "hypercube", "--n", "30"],
+    ["spectrum", "--family", "complete_binary_tree", "--n", "40"],
+])
+def test_cli_guard_exits_3_before_building(capsys, no_graphs, argv):
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--family", "complete", "--n", "2000"],
+    ["diagnose", "--family", "complete_bipartite", "--n", "500,500"],
+    ["spectrum", "--family", "wheel", "--n", "40", "--closed-form"],
+    ["sweep", "--family", "path", "--ladder", "10,20"],
+])
+def test_closed_form_commands_never_build(capsys, no_graphs, argv):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lapstats.errors import InputError
+from lapstats.families import FamilySpec, make_family, random_regular, random_tree
 from lapstats.graphs import (
-    FamilySpec,
     cartesian_product,
     component_count,
     cone,
@@ -13,11 +13,8 @@ from lapstats.graphs import (
     is_bipartite,
     is_tree,
     join,
-    make_family,
     max_degree,
     parse_edge_list,
-    random_regular,
-    random_tree,
     subdivision,
 )
 

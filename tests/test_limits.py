@@ -4,13 +4,19 @@ from fractions import Fraction
 import pytest
 
 from lapstats.errors import InputError
-from lapstats.exact import closed_form_coefficients, laplacian_coefficients, laplacian_matrix
-from lapstats.graphs import FamilySpec, empty_graph, make_family
+from lapstats.exact import laplacian_coefficients, laplacian_matrix
+from lapstats.families import (
+    FamilySpec,
+    closed_form_coefficients,
+    closed_form_spectrum,
+    family_limit_constants,
+    make_family,
+)
+from lapstats.graphs import empty_graph
 from lapstats.limits import (
     LimitStats,
     clt_distance,
     cone_variance_lower_bound,
-    family_limit_constants,
     hypercube_variance_lower_bound,
     llt_distance,
     mean_variance,
@@ -20,7 +26,7 @@ from lapstats.limits import (
     probabilities_from_spectrum,
     variance_lower_bound,
 )
-from lapstats.spectra import Spectrum, closed_form_spectrum, numeric_spectrum
+from lapstats.spectra import Spectrum, numeric_spectrum
 
 
 def fam(name, *size):

@@ -6,11 +6,11 @@ import pytest
 from lapstats import cli
 from lapstats.errors import ConvergenceError, InputError
 from lapstats.exact import laplacian_coefficients, laplacian_matrix
-from lapstats.graphs import FamilySpec, cone, empty_graph, make_family, random_regular
+from lapstats.families import FamilySpec, closed_form_spectrum, make_family, random_regular
+from lapstats.graphs import cone, empty_graph
 from lapstats.spectra import (
     Spectrum,
     anderson_morley_bound,
-    closed_form_spectrum,
     cone_spectrum,
     expand_from_spectrum,
     gershgorin_bound,
