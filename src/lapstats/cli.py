@@ -35,7 +35,7 @@ class RunConfig:
     family: str | None = None
     params: tuple[int, ...] | None = None
     edge_list: Path | None = None
-    ladder: tuple[int, ...] = ()
+    ladder: tuple[int | tuple[int, ...], ...] = ()
     seed: int | None = None
     fmt: str = "json"
     out: Path | None = None
@@ -56,11 +56,18 @@ class RunConfig:
             raise InputError("--jobs must be >= 1")
 
 
-def _ints(flag: str, text: str) -> tuple[int, ...]:
+def _ints(flag: str, text: str, sep: str = ",") -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(sep))
     except ValueError:
         raise InputError(f"{flag} expects integers, got {text!r}") from None
+
+
+def _ladder(text: str) -> tuple[int | tuple[int, ...], ...]:
+    """Comma-separated entries; an entry is one integer for every size
+    parameter or colon-joined values, one per parameter."""
+    entries = (_ints("--ladder", part, ":") for part in text.split(","))
+    return tuple(e[0] if len(e) == 1 else e for e in entries)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="diagnostic rows over a size ladder")
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--ladder", required=True, help="comma-separated sizes")
+    p.add_argument("--ladder", required=True,
+                   help="comma-separated sizes; colon-joined values give each size parameter, "
+                        "e.g. 10:3,12:3")
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
     add_output(p)
@@ -132,7 +141,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if raw is not None:
             cfg.params = _ints("--n", raw)
     if args.command == "sweep":
-        cfg.ladder = _ints("--ladder", args.ladder)
+        cfg.ladder = _ladder(args.ladder)
     cfg.validate()
     return cfg
 

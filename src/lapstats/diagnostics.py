@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import exact, limits, spectra
 from .errors import InputError
-from .families import FamilySpec, Shape, family_member, family_record
+from .families import Family, FamilySpec, Shape, family_member, family_record
 from .graphs import Graph
 
 VERDICT_POISSON = "poisson-regime"
@@ -66,13 +66,18 @@ def _row(family: str | None, shape: Graph | Shape, spectrum: spectra.Spectrum,
     )
 
 
+def _params(record: Family, size: int | tuple[int, ...]) -> tuple[int, ...]:
+    """An integer size stands for that value in every size parameter."""
+    return size if isinstance(size, tuple) else (size,) * record.arity
+
+
 def diagnose_family(family: str, size: int | tuple[int, ...],
                     seed: int | None = None) -> DiagnosticsRow:
     """Full diagnostic row for one family member; an integer size stands
     for that value in every size parameter."""
     started = time.perf_counter()
     record = family_record(family)
-    params = size if isinstance(size, tuple) else (size,) * record.arity
+    params = _params(record, size)
     shape, spectrum = family_member(FamilySpec(family, params, seed))
     row = _row(family, shape, spectrum, record.poisson(*params) if record.poisson else None)
     row.verdict = _VERDICTS[record.regime]
@@ -94,8 +99,11 @@ def diagnose_graph(g: Graph) -> DiagnosticsRow:
 
 def run_sweep(family: str, ladder, seed: int | None = None,
               jobs: int = 1) -> list[DiagnosticsRow]:
-    """One diagnostic row per ladder entry, ordered by ascending size."""
-    sizes = sorted(ladder)
+    """One diagnostic row per ladder entry, ordered by ascending size
+    parameters. An entry is an integer for every size parameter or a tuple
+    with one value per parameter."""
+    record = family_record(family)
+    sizes = sorted(_params(record, size) for size in ladder)
     if not sizes:
         raise InputError("sweep ladder must be nonempty")
     if jobs < 1:

@@ -11,8 +11,8 @@ class InputError(ValueError):
 
 
 class GuardExceeded(RuntimeError):
-    """A size guard on an enumeration routine was exceeded, or a retry
-    budget ran out. Never silently truncated."""
+    """A size or cost budget was exceeded (checked before the work starts),
+    or a retry budget ran out. Never silently truncated."""
 
 
 class ConvergenceError(RuntimeError):

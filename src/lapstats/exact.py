@@ -1,10 +1,29 @@
 """Exact arbitrary-precision Laplacian and signless Laplacian coefficients.
 
-The main pipeline is a Faddeev-LeVerrier characteristic polynomial over
-Python integers. Independent combinatorial routes (spanning-forest sums,
-matching counts, a fraction-free minor determinant, and the closed-form
-family formulas in ``families``) exist so the pipeline can be cross-checked
-rather than trusted.
+The main pipeline is a multi-modular Faddeev-LeVerrier characteristic
+polynomial. The recurrence M_1 = I, c[n-k] = -tr(A M_k) / k,
+M_{k+1} = A M_k + c[n-k] I runs modulo a few primes at once, one batched
+float64 BLAS product per step, and the Chinese remainder theorem maps the
+residues back to integers:
+
+* Bound. Every coefficient of det(xI - A) is an elementary symmetric
+  function of the eigenvalues, so |c| <= C(n, k) R^k <= (1 + R)^n, where R,
+  the largest absolute row sum, bounds the spectral radius. Primes are taken
+  until their product M exceeds 2 (1 + R)^n; symmetric residues mod M are
+  then the integers themselves, for any integer matrix.
+* Primes. Each prime p exceeds n (so 1..n are invertible mod p) and
+  p * max(R, n) < 2^53. A stays unreduced and the running matrix is reduced
+  to [0, p), so every partial sum of a product row or of a trace is an
+  integer below 2^53 and exact in float64, whatever order BLAS sums in.
+* Certificate. After the reconstruction the x^(n-1) and x^(n-2)
+  coefficients are checked in Python integers against -tr A and
+  (tr(A)^2 - tr(A^2)) / 2; a mismatch raises ArithmeticError.
+
+The work, about P n^4 multiply-adds for P primes, is checked against
+MAX_CHARPOLY_WORK before any matrix is built. Independent combinatorial
+routes (spanning-forest sums, matching counts, a fraction-free minor
+determinant, and the closed-form family formulas in ``families``) exist so
+the pipeline can be cross-checked rather than trusted.
 
 Coefficient vectors are plain lists c[0..n] of nonnegative integers with
 sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.
@@ -12,16 +31,46 @@ sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from collections.abc import Callable
+
+import numpy as np
 
 from .errors import GuardExceeded, InputError
 from .graphs import Graph
 
 FOREST_EDGE_GUARD = 24
 MATCHING_EDGE_GUARD = 64
+# no dense n x n matrix is built for more vertices; `stats` on a 4096-vertex
+# edge list peaks near 0.4 GB
+MAX_DENSE_VERTICES = 1 << 12
+# multiply-adds of the exact charpoly, P primes times n^4; a 4-regular graph
+# on 128 vertices needs 10 primes, 2.7e9
+MAX_CHARPOLY_WORK = 1 << 32
+# largest admitted max(R, n); with primes below 2^44, p * max(R, n) < 2^53
+MAX_CHARPOLY_SCALE = 1 << 9
+# the largest primes below 2^44, as many as the work budget can use
+CHARPOLY_PRIMES = (
+    17592186044399, 17592186044299, 17592186044297, 17592186044287,
+    17592186044273, 17592186044267, 17592186044129, 17592186044089,
+    17592186044057, 17592186044039, 17592186043987, 17592186043921,
+    17592186043889, 17592186043877, 17592186043841, 17592186043829,
+    17592186043819, 17592186043813, 17592186043807, 17592186043741,
+    17592186043693, 17592186043667, 17592186043631, 17592186043591,
+)
+
+
+def _dense_guard(g: Graph) -> None:
+    if g.n > MAX_DENSE_VERTICES:
+        raise GuardExceeded(
+            f"dense matrix guard: {g.n} vertices > {MAX_DENSE_VERTICES}"
+        )
+
 
 def laplacian_matrix(g: Graph) -> list[list[int]]:
     """Degree matrix minus adjacency matrix."""
+    _dense_guard(g)
     m = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         m[u][v] = m[v][u] = -1
@@ -32,6 +81,7 @@ def laplacian_matrix(g: Graph) -> list[list[int]]:
 
 def signless_laplacian_matrix(g: Graph) -> list[list[int]]:
     """Degree matrix plus adjacency matrix."""
+    _dense_guard(g)
     m = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         m[u][v] = m[v][u] = 1
@@ -40,39 +90,93 @@ def signless_laplacian_matrix(g: Graph) -> list[list[int]]:
     return m
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+def _moduli(n: int, r: int) -> tuple[int, ...]:
+    """The fewest table primes whose product exceeds 2 (1 + r)^n, for an
+    n x n matrix with largest absolute row sum r. GuardExceeded when the
+    work or the scale is past what the table admits."""
+    if max(n, r) > MAX_CHARPOLY_SCALE:
+        raise GuardExceeded(
+            f"exact charpoly guard: n = {n}, row sum {r}; each must be at most {MAX_CHARPOLY_SCALE}"
+        )
+    bound = 2 * (1 + r) ** n
+    modulus, count = 1, 0
+    while modulus <= bound:
+        count += 1
+        if count * n ** 4 > MAX_CHARPOLY_WORK:
+            raise GuardExceeded(
+                f"exact charpoly guard: n = {n}, row sum {r} needs more than "
+                f"{count - 1} primes, above {MAX_CHARPOLY_WORK} multiply-adds"
+            )
+        modulus *= CHARPOLY_PRIMES[count - 1]
+    return CHARPOLY_PRIMES[:count]
+
+
+def _reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x mod p into [0, p), in place, for integers |x| <= R p in float64.
+
+    The quotient is at most R <= 2^9 in size, where half an ulp is at most
+    2^-45, while x / p lies at least 1 / p > 2^-44 away from any integer it
+    is not; so floor(x / p) is exact, and so are the product and difference.
+    """
+    q = np.divide(x, p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
 
 
 def charpoly_monic(matrix: list[list[int]]) -> list[int]:
     """Coefficients of det(xI - M), ascending, leading coefficient 1.
 
-    Faddeev-LeVerrier recurrence over exact integers. Every internal
-    division is by construction exact and is asserted, never rounded.
+    Multi-modular Faddeev-LeVerrier with CRT reconstruction (see the module
+    docstring); exact by construction for any square integer matrix within
+    the guard, and certified by its top two coefficients.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise InputError("matrix must be square")
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    aux = [[int(i == j) for j in range(n)] for i in range(n)]
+    primes = _moduli(n, max((sum(map(abs, row)) for row in matrix), default=0))
+    count = len(primes)
+    a = np.array(matrix, dtype=np.float64).reshape(n, n)
+    p = np.repeat(np.array(primes, dtype=np.float64), n)
+    # the running matrix for prime j is column block j of one n x (count n)
+    # array; flat positions of each block's diagonal, shape (n, count)
+    diagonal = np.arange(n)[:, None] * (count * n + 1) + np.arange(count) * n
+    aux = np.zeros((n, count * n))
+    aux.ravel()[diagonal] = 1.0
+    residues: list[list[int]] = [[] for _ in range(n)]
     for k in range(1, n + 1):
-        prod = _mat_mul(matrix, aux)
-        trace = sum(prod[i][i] for i in range(n))
-        q, r = divmod(-trace, k)
-        if r:
-            raise ArithmeticError(f"inexact division at step {k}: trace {trace}")
-        coeffs[n - k] = q
-        if k < n:
-            for i in range(n):
-                prod[i][i] += q
-            aux = prod
+        prod = _reduce(a @ aux, p)
+        flat = prod.ravel()
+        entries = flat[diagonal]
+        q = [(-int(t) * pow(k, -1, m)) % m for t, m in zip(entries.sum(axis=0), primes)]
+        residues[n - k] = q
+        flat[diagonal] = _reduce(entries + q, p[::n])
+        aux = prod
+    modulus = math.prod(primes)
+    weights = [modulus // m * pow(modulus // m, -1, m) for m in primes]
+    coeffs = []
+    for row in residues:
+        value = sum(r * w for r, w in zip(row, weights)) % modulus
+        coeffs.append(value - modulus if 2 * value > modulus else value)
+    coeffs.append(1)
+    trace = sum(matrix[i][i] for i in range(n))
+    if n >= 1 and coeffs[n - 1] != -trace:
+        raise ArithmeticError(f"charpoly certificate: x^{n - 1} coefficient is not -tr A")
+    if n >= 2:
+        trace_sq = sum(x * y for row, col in zip(matrix, zip(*matrix)) for x, y in zip(row, col))
+        if 2 * coeffs[n - 2] != trace * trace - trace_sq:
+            raise ArithmeticError(
+                f"charpoly certificate: x^{n - 2} coefficient is not (tr(A)^2 - tr(A^2)) / 2")
     return coeffs
 
 
-def _unsigned_coefficients(g: Graph, matrix: list[list[int]], label: str) -> list[int]:
-    poly = charpoly_monic(matrix)
+def _unsigned_coefficients(g: Graph, build: Callable[[Graph], list[list[int]]],
+                          label: str) -> list[int]:
+    # the exact route's cost, from n and the row sum R = 2 max degree, is
+    # checked before the matrix is built
+    _moduli(g.n, 2 * g.max_degree)
+    poly = charpoly_monic(build(g))
     n = g.n
     out = []
     for k in range(n + 1):
@@ -85,12 +189,12 @@ def _unsigned_coefficients(g: Graph, matrix: list[list[int]], label: str) -> lis
 
 def laplacian_coefficients(g: Graph) -> list[int]:
     """c(G, k) for k = 0..n, exact."""
-    return _unsigned_coefficients(g, laplacian_matrix(g), "Laplacian")
+    return _unsigned_coefficients(g, laplacian_matrix, "Laplacian")
 
 
 def signless_coefficients(g: Graph) -> list[int]:
     """Unsigned coefficients of the signless Laplacian, exact."""
-    return _unsigned_coefficients(g, signless_laplacian_matrix(g), "signless Laplacian")
+    return _unsigned_coefficients(g, signless_laplacian_matrix, "signless Laplacian")
 
 
 def forest_sum_oracle(g: Graph) -> list[int]:

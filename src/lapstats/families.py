@@ -19,11 +19,11 @@ from typing import Callable, NamedTuple
 
 from . import exact, spectra
 from .errors import GuardExceeded, InputError
-from .graphs import Graph, cone, empty_graph, join
+from .graphs import MAX_VERTICES, Graph, cone, empty_graph, join
 from .spectra import Spectrum
 
-# budgets checked from the closed forms before anything is allocated
-MAX_VERTICES = 1 << 20
+# budgets checked from the closed forms before anything is allocated; the
+# vertex budget is the one edge lists share
 MAX_EDGES = 1 << 21
 
 _REGULAR_RETRY_LIMIT = 10_000
@@ -367,8 +367,9 @@ def closed_form_spectrum(family: str, *params: int) -> Spectrum:
 def closed_form_coefficients(family: str, *params: int) -> list[int]:
     """Exact coefficient vector for a supported named family.
 
-    These formulas stay cheap at sizes where the general O(n^4) pipeline is
-    out of the question; ``coeffs --closed-form`` and ``verify`` use them.
+    These formulas stay cheap at sizes where the general charpoly, about
+    P n^4 work, is refused by its guard; ``coeffs --closed-form`` and
+    ``verify`` use them.
     """
     return _closed_form("coefficients", family, params)
 

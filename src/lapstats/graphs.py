@@ -12,7 +12,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import GuardExceeded, InputError
+
+# vertex budget of every graph read or named, checked before it is built
+MAX_VERTICES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise InputError(f"line {lineno}: expected integers in header, got {header!r}") from None
+    if n > MAX_VERTICES:
+        raise GuardExceeded(f"edge list declares {n} vertices, above the budget of {MAX_VERTICES}")
     if m != len(rows) - 1:
         raise InputError(f"header declares {m} edges but {len(rows) - 1} edge lines follow")
     pairs = []

@@ -1,0 +1,184 @@
+"""The multi-modular charpoly against independent oracles: the Python-integer
+Faddeev-LeVerrier recurrence it replaced, sympy, networkx, and the invariants
+of its prime table and work guard."""
+
+import random
+import tracemalloc
+
+import pytest
+
+from lapstats import cli, exact
+from lapstats.corpus import corpus_graphs
+from lapstats.errors import GuardExceeded
+from lapstats.exact import (
+    CHARPOLY_PRIMES,
+    MAX_CHARPOLY_SCALE,
+    MAX_CHARPOLY_WORK,
+    MAX_DENSE_VERTICES,
+    charpoly_monic,
+    laplacian_coefficients,
+    laplacian_matrix,
+    signless_laplacian_matrix,
+)
+from lapstats.families import random_regular, random_tree
+
+
+def faddeev_leverrier(matrix):
+    """det(xI - M) ascending, by the Faddeev-LeVerrier recurrence over Python
+    integers; O(n^4), every division asserted exact. The small-n oracle."""
+    n = len(matrix)
+    coeffs = [0] * n + [1]
+    aux = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*aux))
+        prod = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in matrix]
+        q, r = divmod(-sum(prod[i][i] for i in range(n)), k)
+        assert r == 0, f"inexact division at step {k}"
+        coeffs[n - k] = q
+        for i in range(n):
+            prod[i][i] += q
+        aux = prod
+    return coeffs
+
+
+def _sympy_charpoly(matrix):
+    sympy = pytest.importorskip("sympy")
+    return [int(c) for c in reversed(sympy.Matrix(matrix).charpoly().all_coeffs())]
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for n < 3.3e24 (the first 13 prime bases)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_corpus_matches_python_integer_oracle():
+    for label, g in corpus_graphs():
+        for build in (laplacian_matrix, signless_laplacian_matrix):
+            m = build(g)
+            assert charpoly_monic(m) == faddeev_leverrier(m), (label, build.__name__)
+
+
+def test_random_integer_matrices_match_oracle():
+    rng = random.Random(5)
+    for _ in range(100):
+        n = rng.randrange(0, 9)
+        m = [[rng.randint(-60, 60) for _ in range(n)] for _ in range(n)]
+        assert charpoly_monic(m) == faddeev_leverrier(m)
+
+
+@pytest.mark.parametrize("n, d", [(64, 4), (96, 3), (128, 4)])
+def test_regular_graphs_match_sympy(n, d):
+    m = laplacian_matrix(random_regular(n, d, 11))
+    assert charpoly_monic(m) == _sympy_charpoly(m)
+
+
+def test_general_integer_matrix_matches_sympy():
+    # non-symmetric, negative entries, row sums far above 2 * max degree
+    rng = random.Random(8)
+    m = [[rng.randint(-40, 40) for _ in range(12)] for _ in range(12)]
+    r = max(sum(map(abs, row)) for row in m)
+    assert r > 100
+    assert charpoly_monic(m) == _sympy_charpoly(m)
+
+
+def test_spanning_trees_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in (random_regular(40, 3, 2), random_tree(30, 4), random_regular(24, 5, 1)):
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges)
+        c1, rest = divmod(laplacian_coefficients(g)[1], g.n)
+        assert rest == 0
+        assert nx.number_of_spanning_trees(ng) == pytest.approx(c1, rel=1e-9)
+
+
+def test_prime_table_invariants():
+    assert len(set(CHARPOLY_PRIMES)) == len(CHARPOLY_PRIMES)
+    largest_n = max(n for n in range(1, 1000) if n ** 4 <= MAX_CHARPOLY_WORK)
+    for p in CHARPOLY_PRIMES:
+        assert _is_prime(p)
+        assert p > largest_n
+        assert p * max(MAX_CHARPOLY_SCALE, largest_n) < 2 ** 53
+
+
+def test_table_covers_every_admitted_size():
+    # the worst row sum needs the most primes; the guard must refuse before
+    # the table runs out
+    for n in range(0, 300):
+        try:
+            primes = exact._moduli(n, MAX_CHARPOLY_SCALE)
+        except GuardExceeded:
+            continue
+        assert len(primes) * n ** 4 <= MAX_CHARPOLY_WORK
+
+
+def test_guard_admits_128_vertex_4_regular():
+    assert len(exact._moduli(128, 8)) * 128 ** 4 <= MAX_CHARPOLY_WORK
+
+
+def test_charpoly_refuses_row_sums_past_the_table():
+    m = [[MAX_CHARPOLY_SCALE + 1]]
+    with pytest.raises(GuardExceeded):
+        charpoly_monic(m)
+
+
+def test_certificate_catches_a_modulus_too_small(monkeypatch):
+    monkeypatch.setattr(exact, "_moduli", lambda n, r: (7,))
+    with pytest.raises(ArithmeticError):
+        charpoly_monic([[5, 1, 0], [1, 4, 1], [0, 1, 3]])
+
+
+def _run(capsys, argv):
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_coeffs_on_500_vertex_path_exits_3_before_any_matrix(capsys, monkeypatch, tmp_path):
+    def refuse(g):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(exact, "laplacian_matrix", refuse)
+    path = tmp_path / "p500.txt"
+    path.write_text("500 499\n" + "".join(f"{i} {i + 1}\n" for i in range(499)))
+    code, err = _run(capsys, ["coeffs", "--edge-list", str(path)])
+    assert code == 3 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["coeffs", "spectrum", "stats", "diagnose"])
+def test_huge_edge_list_header_exits_3_before_building(capsys, no_graphs, tmp_path, command):
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000 0\n")
+    code, err = _run(capsys, [command, "--edge-list", str(path)])
+    assert code == 3 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["coeffs", "spectrum", "stats", "diagnose"])
+def test_dense_routes_refuse_before_allocating(capsys, tmp_path, command):
+    n = MAX_DENSE_VERTICES + 1
+    path = tmp_path / "wide.txt"
+    path.write_text(f"{n} 0\n")
+    tracemalloc.start()
+    try:
+        code, err = _run(capsys, [command, "--edge-list", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and err.startswith("error:")
+    # one n x n float matrix would take 8 n^2 bytes, 134 MB
+    assert peak < 8 * n * n // 64

@@ -119,6 +119,27 @@ class TestDiagnoseAndSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["n"] for r in rows] == ["10", "20", "40"]
 
+    def test_sweep_random_regular_takes_colon_joined_sizes(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--family", "random_regular",
+                               "--ladder", "12:3,10:3", "--seed", "1", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["n"], r["edges"], r["max_degree"]) for r in rows] == [
+            ("10", "15", "3"), ("12", "18", "3")]
+
+    def test_plain_ladder_entry_fills_every_parameter(self, capsys):
+        _, plain, _ = run_cli(capsys, "sweep", "--family", "complete_bipartite",
+                              "--ladder", "4,3")
+        _, joined, _ = run_cli(capsys, "sweep", "--family", "complete_bipartite",
+                               "--ladder", "3:3,4:4")
+        assert plain == joined and len(json.loads(plain)) == 2
+
+    @pytest.mark.parametrize("ladder", ["10:x", "10::3", "10:3:1", "10"])
+    def test_sweep_malformed_ladder_entry(self, capsys, ladder):
+        code, out, err = run_cli(capsys, "sweep", "--family", "random_regular",
+                                 "--ladder", ladder, "--seed", "1")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_seeded_family_is_reproducible(self, capsys):
         args = ("diagnose", "--family", "random_tree", "--n", "30", "--seed", "5")
         _, first, _ = run_cli(capsys, *args)

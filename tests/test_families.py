@@ -12,7 +12,6 @@ from lapstats.families import (
     family_shape,
     make_family,
 )
-from lapstats.graphs import Graph
 
 _EXTRA_MEMBERS = [
     ("path", (100,), None),
@@ -47,14 +46,6 @@ def test_table_shape_matches_built_graph(family, size, seed):
 def test_closed_form_size_rule(call):
     with pytest.raises(InputError):
         call()
-
-
-@pytest.fixture
-def no_graphs(monkeypatch):
-    def refuse(self):
-        raise AssertionError("a graph was built")
-
-    monkeypatch.setattr(Graph, "__post_init__", refuse)
 
 
 def test_vertex_budget_checked_before_building(no_graphs):
