@@ -5,15 +5,12 @@ statistics, the distribution distances and a regime verdict. Every row takes
 its probabilities from one route, the Poisson-binomial expansion of the
 spectrum (``limits.probabilities_from_spectrum``); the spectrum is the
 family's closed form where it has one, which is then never built, and the
-numeric spectrum otherwise. Sweeps map a family over a size ladder; ladder
-entries may be computed concurrently but rows are always assembled in
-ascending size order, so output never depends on scheduling.
+numeric spectrum otherwise. Sweeps map a family over a size ladder, one row
+per entry in ascending size order.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import exact, limits, spectra
@@ -41,7 +38,6 @@ class DiagnosticsRow:
     verdict: str
     mu_per_vertex_err: float | None = None
     sigma2_per_vertex_err: float | None = None
-    elapsed: float = 0.0  # seconds; never serialized
 
 
 _VERDICTS = {"normal": VERDICT_NORMAL, "poisson": VERDICT_POISSON}
@@ -75,7 +71,6 @@ def diagnose_family(family: str, size: int | tuple[int, ...],
                     seed: int | None = None) -> DiagnosticsRow:
     """Full diagnostic row for one family member; an integer size stands
     for that value in every size parameter."""
-    started = time.perf_counter()
     record = family_record(family)
     params = _params(record, size)
     shape, spectrum = family_member(FamilySpec(family, params, seed))
@@ -85,31 +80,27 @@ def diagnose_family(family: str, size: int | tuple[int, ...],
         mu_c, s2_c = record.limits
         row.mu_per_vertex_err = abs(row.mu / row.n - mu_c)
         row.sigma2_per_vertex_err = abs(row.sigma2 / row.n - s2_c)
-    row.elapsed = time.perf_counter() - started
     return row
 
 
 def diagnose_graph(g: Graph) -> DiagnosticsRow:
     """Diagnostic row for an arbitrary graph (no family knowledge)."""
-    started = time.perf_counter()
-    row = _row(None, g, spectra.numeric_spectrum(exact.laplacian_matrix(g)))
-    row.elapsed = time.perf_counter() - started
-    return row
+    return _row(None, g, spectra.numeric_spectrum(exact.laplacian_matrix(g)))
 
 
 def run_sweep(family: str, ladder, seed: int | None = None,
               jobs: int = 1) -> list[DiagnosticsRow]:
     """One diagnostic row per ladder entry, ordered by ascending size
     parameters. An entry is an integer for every size parameter or a tuple
-    with one value per parameter."""
+    with one value per parameter.
+
+    The rows are computed serially; ``jobs`` is validated and otherwise
+    ignored, kept so that existing ``--jobs`` invocations still work.
+    """
     record = family_record(family)
     sizes = sorted(_params(record, size) for size in ladder)
     if not sizes:
         raise InputError("sweep ladder must be nonempty")
     if jobs < 1:
         raise InputError("jobs must be >= 1")
-    if jobs == 1:
-        return [diagnose_family(family, size, seed) for size in sizes]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(diagnose_family, family, size, seed) for size in sizes]
-        return [f.result() for f in futures]
+    return [diagnose_family(family, size, seed) for size in sizes]

@@ -61,16 +61,17 @@ CHARPOLY_PRIMES = (
 )
 
 
-def _dense_guard(g: Graph) -> None:
-    if g.n > MAX_DENSE_VERTICES:
+def dense_guard(n: int) -> None:
+    """Refuse a dense n x n matrix above MAX_DENSE_VERTICES vertices."""
+    if n > MAX_DENSE_VERTICES:
         raise GuardExceeded(
-            f"dense matrix guard: {g.n} vertices > {MAX_DENSE_VERTICES}"
+            f"dense matrix guard: {n} vertices > {MAX_DENSE_VERTICES}"
         )
 
 
 def laplacian_matrix(g: Graph) -> list[list[int]]:
     """Degree matrix minus adjacency matrix."""
-    _dense_guard(g)
+    dense_guard(g.n)
     m = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         m[u][v] = m[v][u] = -1
@@ -81,7 +82,7 @@ def laplacian_matrix(g: Graph) -> list[list[int]]:
 
 def signless_laplacian_matrix(g: Graph) -> list[list[int]]:
     """Degree matrix plus adjacency matrix."""
-    _dense_guard(g)
+    dense_guard(g.n)
     m = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         m[u][v] = m[v][u] = 1

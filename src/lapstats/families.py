@@ -343,10 +343,12 @@ def make_family(spec: FamilySpec) -> Graph:
 def family_member(spec: FamilySpec) -> tuple[Graph | Shape, Spectrum]:
     """The member's shape and Laplacian spectrum: closed forms where the
     family has a closed-form spectrum, which is then never built; otherwise
-    the built graph and its numeric spectrum."""
+    the built graph and its numeric spectrum, whose dense guard is checked
+    from the closed-form n before the graph is built."""
     r = FAMILIES[spec.family]
     if r.spectrum is not None:
         return family_shape(spec), r.spectrum(*spec.size)
+    exact.dense_guard(r.order(*spec.size))
     g = make_family(spec)
     return g, spectra.numeric_spectrum(exact.laplacian_matrix(g))
 

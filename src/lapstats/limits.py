@@ -2,8 +2,10 @@
 normalized probabilities from exact coefficients, and the distances used to
 diagnose normal versus Poisson limiting behavior.
 
-Probabilities are always computed in the log domain so that coefficient
-vectors with tens of thousands of bits normalize without overflow.
+Exact integer coefficients normalize through logarithms, so vectors with
+tens of thousands of bits do not overflow. Probabilities from a spectrum are
+the Poisson-binomial law of the eigenvalues, multiplied out by a balanced
+product tree of its linear factors with FFT products.
 """
 
 from __future__ import annotations
@@ -64,28 +66,52 @@ def normalized_probabilities(coeffs) -> list[float]:
     return [math.exp(l - lse) if l is not None else 0.0 for l in logs]
 
 
+# factors with at most this many terms multiply by direct convolution, longer
+# ones by FFT
+_DIRECT_TERMS = 64
+
+
+def _multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i of the result is the polynomial product of rows i of ``a`` and
+    ``b``, two stacks of coefficient rows of one length."""
+    terms = a.shape[1]
+    size = 2 * terms - 1
+    if terms <= _DIRECT_TERMS:
+        out = np.zeros((a.shape[0], size))
+        for k in range(terms):
+            out[:, k:k + terms] += a[:, k, None] * b
+        return out
+    fft_len = 1 << (size - 1).bit_length()
+    product = np.fft.rfft(a, fft_len) * np.fft.rfft(b, fft_len)
+    return np.fft.irfft(product, fft_len)[:, :size]
+
+
 def probabilities_from_spectrum(s: Spectrum) -> list[float]:
-    """Normalized coefficient distribution of prod(x + lam), expanded in the
-    log domain straight from the eigenvalues.
+    """Normalized coefficient distribution of prod(x + lam), multiplied out
+    straight from the eigenvalues.
 
     Dividing by prod(1 + lam) gives prod(q_i + p_i x) with p_i = 1/(1 + lam_i),
     so this is the Poisson-binomial law of the normalized coefficients
-    (Harper's method). It is the one route ``diagnostics`` takes for every
-    spectrum, closed-form or numeric; exact integers stay in ``coeffs`` and
-    ``verify``.
+    (Harper's method). The factors multiply pairwise up a balanced tree, a
+    whole level at a time, by direct convolution while they have at most
+    ``_DIRECT_TERMS`` terms and by FFT above: O(n log^2 n) in all. FFT
+    round-off below 0 is clipped and the result renormalized once. It is the
+    one route ``diagnostics`` takes for every spectrum, closed-form or
+    numeric; exact integers stay in ``coeffs`` and ``verify``.
     """
-    logc = np.array([0.0])
-    for lam in sorted(s.values):
-        if lam < 0.0:
-            raise InputError(f"negative eigenvalue {lam!r}")
-        shifted = np.concatenate(([-np.inf], logc))
-        if lam > 0.0:
-            shifted[:-1] = np.logaddexp(shifted[:-1], logc + math.log(lam))
-        logc = shifted
-    top = float(np.max(logc))
-    lse = top + math.log(float(np.sum(np.exp(logc - top))))
-    probs = np.exp(logc - lse)
-    return [float(p) if math.isfinite(lc) else 0.0 for p, lc in zip(probs, logc)]
+    lam = np.array(s.values, dtype=float)
+    if lam.size == 0:
+        return [1.0]  # the empty product
+    if lam.min() < 0.0:
+        raise InputError(f"negative eigenvalue {float(lam.min())!r}")
+    p = 1.0 / (1.0 + lam)
+    rows = np.stack((lam * p, p), axis=1)  # row i holds q_i + p_i x
+    while len(rows) > 1:
+        if len(rows) % 2:  # pad with the polynomial 1
+            rows = np.vstack((rows, np.eye(1, rows.shape[1])))
+        rows = _multiply_rows(rows[0::2], rows[1::2])
+    probs = np.clip(rows[0, :lam.size + 1], 0.0, None)
+    return (probs / probs.sum()).tolist()
 
 
 def _gauss_cdf(z: float) -> float:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
+from contextlib import contextmanager
 
 from .diagnostics import DiagnosticsRow
 from .spectra import Spectrum
@@ -52,12 +54,29 @@ def _cell(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift CPython's cap on str() of large ints (4300 digits by default)
+    for the duration, and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7 there is no cap
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def coefficients_json(coeffs: list[int]) -> str:
-    return _dump_json([str(c) for c in coeffs])
+    with _any_int_digits():
+        return _dump_json([str(c) for c in coeffs])
 
 
 def coefficients_csv(coeffs: list[int]) -> str:
-    return _csv_text([["k", "c_k"]] + [[str(k), str(c)] for k, c in enumerate(coeffs)])
+    with _any_int_digits():
+        return _csv_text([["k", "c_k"]] + [[str(k), str(c)] for k, c in enumerate(coeffs)])
 
 
 def spectrum_json(s: Spectrum, trace_residual: float) -> str:

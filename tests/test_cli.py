@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +54,26 @@ class TestCoeffs:
         assert code == 0
         values = json.loads(out)
         assert values[1] == str(50 ** 49)  # n * tau = 50 * 50^48
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_past_the_int_str_digit_limit(self, capsys, fmt):
+        # c_1 of K_1500 is 1500^1499, about 4760 decimal digits, above
+        # CPython's default cap of 4300 on str(int)
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "coeffs", "--family", "complete", "--n", "1500",
+                               "--closed-form", "--format", fmt)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        if fmt == "json":
+            values = json.loads(out)
+        else:
+            values = [row[1] for row in csv.reader(io.StringIO(out))][1:]
+        assert len(values) == 1501
+        sys.set_int_max_str_digits(0)
+        try:
+            assert values[1] == str(1500 ** 1499)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestSpectrum:

@@ -67,6 +67,10 @@ def test_edge_budget_checked_before_building(no_graphs):
 @pytest.mark.parametrize("argv", [
     ["stats", "--family", "hypercube", "--n", "30"],
     ["spectrum", "--family", "complete_binary_tree", "--n", "40"],
+    # no closed-form spectrum and above the dense guard
+    ["diagnose", "--family", "random_tree", "--n", "200000", "--seed", "1"],
+    ["stats", "--family", "complete_binary_tree", "--n", "12"],
+    ["sweep", "--family", "random_regular", "--ladder", "5000:3", "--seed", "1"],
 ])
 def test_cli_guard_exits_3_before_building(capsys, no_graphs, argv):
     assert cli.main(argv) == 3

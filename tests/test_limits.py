@@ -1,8 +1,13 @@
+import json
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from lapstats import cli
+from lapstats.corpus import _FAMILY_MEMBERS, corpus_graphs
 from lapstats.errors import InputError
 from lapstats.exact import laplacian_coefficients, laplacian_matrix
 from lapstats.families import (
@@ -10,6 +15,7 @@ from lapstats.families import (
     closed_form_coefficients,
     closed_form_spectrum,
     family_limit_constants,
+    family_record,
     make_family,
 )
 from lapstats.graphs import empty_graph
@@ -111,6 +117,104 @@ class TestProbabilities:
             exact_probs = normalized_probabilities(laplacian_coefficients(g))
             spectral = probabilities_from_spectrum(closed_form_spectrum(family, *params))
             assert spectral == pytest.approx(exact_probs, abs=1e-10)
+
+
+def _log_domain_probabilities(values) -> list[float]:
+    """The former expansion, kept as the reference: one logaddexp pass per
+    eigenvalue over the log coefficients of prod(x + lam), O(n^2) in all."""
+    logc = np.array([0.0])
+    for lam in sorted(values):
+        shifted = np.concatenate(([-np.inf], logc))
+        if lam > 0.0:
+            shifted[:-1] = np.logaddexp(shifted[:-1], logc + math.log(lam))
+        logc = shifted
+    top = float(np.max(logc))
+    lse = top + math.log(float(np.sum(np.exp(logc - top))))
+    probs = np.exp(logc - lse)
+    return [float(p) if math.isfinite(lc) else 0.0 for p, lc in zip(probs, logc)]
+
+
+def _corpus_spectra() -> list[Spectrum]:
+    closed = [closed_form_spectrum(f, *p) for f, p in _FAMILY_MEMBERS
+              if family_record(f).spectrum is not None]
+    return closed + [numeric_spectrum(laplacian_matrix(g)) for _, g in corpus_graphs()]
+
+
+def _seeded_spectra() -> list[Spectrum]:
+    """Lengths on both sides of the 64-term switch to FFT products, with
+    zero eigenvalues, repeated values and spread-out values mixed in."""
+    rng = np.random.default_rng(20240611)
+    out = []
+    for n in (1, 2, 3, 31, 63, 64, 65, 66, 127, 128, 129, 200, 257, 700):
+        zeros = [0.0] * int(rng.integers(1, 4))
+        repeated = [float(rng.integers(1, 9))] * int(rng.integers(0, n // 3 + 1))
+        spread = rng.uniform(0.0, 12.0, n).tolist()
+        out.append(Spectrum.from_values((zeros + repeated + spread)[:n]))
+    return out
+
+
+def _large_spectra() -> list[Spectrum]:
+    return [closed_form_spectrum("hypercube", 14), closed_form_spectrum("complete", 2000),
+            closed_form_spectrum("wheel", 1000)]
+
+
+def _max_gap(a, b) -> float:
+    assert len(a) == len(b)
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+class TestProductTree:
+    @pytest.mark.parametrize("spectra", [_corpus_spectra, _seeded_spectra])
+    def test_matches_log_domain_reference(self, spectra):
+        for s in spectra():
+            assert _max_gap(probabilities_from_spectrum(s),
+                            _log_domain_probabilities(s.values)) <= 1e-12
+
+    @pytest.mark.parametrize("spectra", [_corpus_spectra, _seeded_spectra, _large_spectra])
+    def test_a_probability_vector(self, spectra):
+        for s in spectra():
+            probs = probabilities_from_spectrum(s)
+            assert len(probs) == len(s) + 1
+            assert all(type(p) is float and p >= 0.0 for p in probs)
+            assert math.fsum(probs) == pytest.approx(1.0, abs=1e-14)
+
+    def test_zero_eigenvalues_leave_no_low_mass(self):
+        # each zero eigenvalue is a factor x: the low coefficients vanish
+        probs = probabilities_from_spectrum(closed_form_spectrum("matching_union", 300))
+        assert max(probs[:300]) <= 1e-15
+
+    @pytest.mark.parametrize("family, size", [
+        ("path", (3000,)), ("complete", (2000,)), ("star", (1000,)),
+        ("complete_bipartite", (200, 300)), ("matching_union", (1000,))])
+    def test_no_further_from_exact_than_reference(self, family, size):
+        s = closed_form_spectrum(family, *size)
+        exact_probs = normalized_probabilities(closed_form_coefficients(family, *size))
+        tree = _max_gap(probabilities_from_spectrum(s), exact_probs)
+        assert tree <= 1e-12
+        assert tree <= _max_gap(_log_domain_probabilities(s.values), exact_probs)
+
+    def test_edge_cases(self):
+        assert probabilities_from_spectrum(Spectrum(())) == [1.0]
+        assert probabilities_from_spectrum(Spectrum((0.0,))) == [0.0, 1.0]
+        with pytest.raises(InputError):
+            probabilities_from_spectrum(Spectrum((3.0, 1.0, -1e-3)))
+
+    def test_hypercube_16_row_matches_closed_form(self, capsys):
+        started = time.perf_counter()
+        assert cli.main(["diagnose", "--family", "hypercube", "--n", "16"]) == 0
+        elapsed = time.perf_counter() - started
+        (row,) = json.loads(capsys.readouterr().out)
+        d = 16
+        mu = math.fsum(math.comb(d, k) / (1 + 2 * k) for k in range(d + 1))
+        sigma2 = math.fsum(math.comb(d, k) * 2 * k / (1 + 2 * k) ** 2 for k in range(d + 1))
+        assert row["n"] == 1 << d
+        assert row["mu"] == pytest.approx(mu, rel=1e-13)
+        assert row["sigma2"] == pytest.approx(sigma2, rel=1e-13)
+        # Berry-Esseen for a Poisson-binomial law, Shevtsova's constant
+        assert row["clt_distance"] <= 0.56 / math.sqrt(sigma2)
+        # the O(n^2) expansion took about a minute at this size, the tree
+        # well under a second
+        assert elapsed < 15.0
 
 
 class TestCltDistance:
