@@ -44,7 +44,6 @@ from .spectra import (
     Spectrum,
     anderson_morley_bound,
     cone_spectrum,
-    expand_from_spectrum,
     gershgorin_bound,
     join_spectrum,
     numeric_spectrum,

@@ -4,6 +4,11 @@ Subcommands: coeffs | spectrum | stats | diagnose | sweep | verify.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 resource guard or solver failure. All configuration is explicit flags; no
 environment variables are consulted.
+
+Each command reads the parsed arguments once ``_check`` has parsed --n and
+--ladder. ``_graph`` reads an edge list or builds a family member, the latter
+only after its closed-form shape passes the guards of the route it feeds, so
+an over-budget family exits 3 before any graph is built.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import diagnostics, exact, limits, serialize, spectra
@@ -22,39 +26,10 @@ from .families import (
     FamilySpec,
     closed_form_coefficients,
     family_member,
+    family_shape,
     make_family,
 )
 from .graphs import Graph, read_edge_list
-
-_INPUT_COMMANDS = ("coeffs", "spectrum", "stats", "diagnose")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    family: str | None = None
-    params: tuple[int, ...] | None = None
-    edge_list: Path | None = None
-    ladder: tuple[int | tuple[int, ...], ...] = ()
-    seed: int | None = None
-    fmt: str = "json"
-    out: Path | None = None
-    signless: bool = False
-    closed_form: bool = False
-    jobs: int = 1
-
-    def validate(self) -> None:
-        if self.command in _INPUT_COMMANDS:
-            if (self.family is None) == (self.edge_list is None):
-                raise InputError("give exactly one input: --family or --edge-list")
-        if self.command == "sweep":
-            if self.family is None:
-                raise InputError("sweep needs --family")
-            if not self.ladder:
-                raise InputError("sweep needs a nonempty --ladder")
-        if self.jobs < 1:
-            raise InputError("--jobs must be >= 1")
-
 
 def _ints(flag: str, text: str, sep: str = ",") -> tuple[int, ...]:
     try:
@@ -94,19 +69,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p, closed_form=True)
     p.add_argument("--signless", action="store_true", help="use the signless Laplacian")
     add_output(p)
+    p.set_defaults(run=cmd_coeffs)
 
     p = sub.add_parser("spectrum", help="eigenvalues, descending")
     add_io(p, closed_form=True)
     p.add_argument("--signless", action="store_true", help="use the signless Laplacian")
     add_output(p)
+    p.set_defaults(run=cmd_spectrum)
 
     p = sub.add_parser("stats", help="mean and variance of the coefficient distribution")
     add_io(p)
     add_output(p)
+    p.set_defaults(run=cmd_stats)
 
     p = sub.add_parser("diagnose", help="one diagnostic row: stats, distances, verdict")
     add_io(p)
     add_output(p)
+    p.set_defaults(run=cmd_diagnose)
 
     p = sub.add_parser("sweep", help="diagnostic rows over a size ladder")
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
@@ -116,144 +95,132 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
     add_output(p)
+    p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the invariant corpus; exit 1 on any failure")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", type=Path)
+    p.set_defaults(run=cmd_verify)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.family = getattr(args, "family", None)
-    cfg.edge_list = getattr(args, "edge_list", None)
-    cfg.seed = getattr(args, "seed", None)
-    cfg.fmt = getattr(args, "format", "json")
-    cfg.out = getattr(args, "out", None)
-    cfg.signless = bool(getattr(args, "signless", False))
-    cfg.closed_form = bool(getattr(args, "closed_form", False))
-    cfg.jobs = getattr(args, "jobs", 1)
-    if cfg.family is not None:
-        raw = getattr(args, "n", None)
-        if raw is None and args.command != "sweep":
-            raise InputError("--family needs --n")
-        if raw is not None:
-            cfg.params = _ints("--n", raw)
-    if args.command == "sweep":
-        cfg.ladder = _ladder(args.ladder)
-    cfg.validate()
-    return cfg
+def _check(args: argparse.Namespace) -> None:
+    """Parse --n and --ladder in place; require exactly one input and
+    refuse a signless closed form."""
+    if args.command in ("coeffs", "spectrum", "stats", "diagnose"):
+        if args.family is not None:
+            if args.n is None:
+                raise InputError("--family needs --n")
+            args.n = _ints("--n", args.n)
+        if (args.family is None) == (args.edge_list is None):
+            raise InputError("give exactly one input: --family or --edge-list")
+        if getattr(args, "closed_form", False) and args.signless:
+            raise InputError("--closed-form has no signless variant")
+    elif args.command == "sweep":
+        args.ladder = _ladder(args.ladder)
 
 
-def _spec(cfg: RunConfig) -> FamilySpec:
-    return FamilySpec(cfg.family, cfg.params, cfg.seed)
+def _spec(args: argparse.Namespace) -> FamilySpec:
+    return FamilySpec(args.family, args.n, args.seed)
 
 
-def _input_graph(cfg: RunConfig) -> Graph:
-    if cfg.edge_list is not None:
-        return read_edge_list(cfg.edge_list)
-    return make_family(_spec(cfg))
+def _graph(args: argparse.Namespace, charpoly: bool = False) -> Graph:
+    """The edge list as read, or the family member, built only once its
+    closed-form shape passes the dense guard and, with ``charpoly`` and a
+    known maximum degree, the exact-charpoly guard."""
+    if args.edge_list is not None:
+        return read_edge_list(args.edge_list)
+    spec = _spec(args)
+    shape = family_shape(spec)
+    if charpoly and shape.max_degree is not None:
+        exact.charpoly_guard(shape.n, shape.max_degree)
+    exact.dense_guard(shape.n)
+    return make_family(spec)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out is not None:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out is not None:
         try:
-            cfg.out.write_text(text, encoding="utf-8")
+            args.out.write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise InputError(f"cannot write {cfg.out}: {exc}") from None
+            raise InputError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
-    if cfg.closed_form:
-        if cfg.signless:
-            raise InputError("--closed-form has no signless variant")
-        if cfg.family is None:
+def cmd_coeffs(args: argparse.Namespace) -> int:
+    if args.closed_form:
+        if args.family is None:
             raise InputError("--closed-form needs a --family")
-        coeffs = closed_form_coefficients(cfg.family, *cfg.params)
+        coeffs = closed_form_coefficients(args.family, *args.n)
     else:
-        g = _input_graph(cfg)
-        coeffs = exact.signless_coefficients(g) if cfg.signless else exact.laplacian_coefficients(g)
-    text = serialize.coefficients_json(coeffs) if cfg.fmt == "json" else serialize.coefficients_csv(coeffs)
-    _emit(cfg, text)
+        g = _graph(args, charpoly=True)
+        coeffs = exact.signless_coefficients(g) if args.signless else exact.laplacian_coefficients(g)
+    text = serialize.coefficients_json(coeffs) if args.format == "json" else serialize.coefficients_csv(coeffs)
+    _emit(args, text)
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    if cfg.closed_form:
-        if cfg.signless:
-            raise InputError("--closed-form has no signless variant")
-        if cfg.family is None or FAMILIES[cfg.family].spectrum is None:
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.closed_form:
+        if args.family is None or FAMILIES[args.family].spectrum is None:
             raise InputError("--closed-form needs a supported --family")
-        g, s = family_member(_spec(cfg))
+        g, s = family_member(_spec(args))
     else:
-        g = _input_graph(cfg)
-        matrix = exact.signless_laplacian_matrix(g) if cfg.signless else exact.laplacian_matrix(g)
+        g = _graph(args)
+        matrix = exact.signless_laplacian_matrix(g) if args.signless else exact.laplacian_matrix(g)
         s = spectra.numeric_spectrum(matrix)
     residual = spectra.trace_check(s, g)
-    text = serialize.spectrum_json(s, residual) if cfg.fmt == "json" else serialize.spectrum_csv(s, residual)
-    _emit(cfg, text)
+    text = serialize.spectrum_json(s, residual) if args.format == "json" else serialize.spectrum_csv(s, residual)
+    _emit(args, text)
     return 0
 
 
-def cmd_stats(cfg: RunConfig) -> int:
-    if cfg.family is not None:
-        g, s = family_member(_spec(cfg))
+def cmd_stats(args: argparse.Namespace) -> int:
+    if args.family is not None:
+        g, s = family_member(_spec(args))
     else:
-        g = read_edge_list(cfg.edge_list)
+        g = _graph(args)
         s = spectra.numeric_spectrum(exact.laplacian_matrix(g))
     stats = limits.mean_variance(s)
-    payload = {"family": cfg.family, "n": g.n, "mu": stats.mu, "sigma2": stats.sigma2}
-    text = serialize.stats_json(payload) if cfg.fmt == "json" else serialize.stats_csv(payload)
-    _emit(cfg, text)
+    payload = {"family": args.family, "n": g.n, "mu": stats.mu, "sigma2": stats.sigma2}
+    text = serialize.stats_json(payload) if args.format == "json" else serialize.stats_csv(payload)
+    _emit(args, text)
     return 0
 
 
-def cmd_diagnose(cfg: RunConfig) -> int:
-    if cfg.family is not None:
-        row = diagnostics.diagnose_family(cfg.family, cfg.params, cfg.seed)
+def cmd_diagnose(args: argparse.Namespace) -> int:
+    if args.family is not None:
+        rows = [diagnostics.diagnose_family(args.family, args.n, args.seed)]
     else:
-        row = diagnostics.diagnose_graph(read_edge_list(cfg.edge_list))
-    rows = [row]
-    text = serialize.rows_json(rows) if cfg.fmt == "json" else serialize.rows_csv(rows)
-    _emit(cfg, text)
+        rows = [diagnostics.diagnose_graph(_graph(args))]
+    text = serialize.rows_json(rows) if args.format == "json" else serialize.rows_csv(rows)
+    _emit(args, text)
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    rows = diagnostics.run_sweep(cfg.family, cfg.ladder, cfg.seed, jobs=cfg.jobs)
-    text = serialize.rows_json(rows) if cfg.fmt == "json" else serialize.rows_csv(rows)
-    _emit(cfg, text)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    rows = diagnostics.run_sweep(args.family, args.ladder, args.seed, jobs=args.jobs)
+    text = serialize.rows_json(rows) if args.format == "json" else serialize.rows_csv(rows)
+    _emit(args, text)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = run_verification(jobs=cfg.jobs)
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = run_verification(jobs=args.jobs)
     text = "".join(r.line() + "\n" for r in results)
     ok = all(r.ok for r in results)
     text += f"verification: {'PASS' if ok else 'FAIL'} ({sum(r.ok for r in results)}/{len(results)} checks)\n"
-    _emit(cfg, text)
+    _emit(args, text)
     return 0 if ok else 1
 
 
-_DISPATCH = {
-    "coeffs": cmd_coeffs,
-    "spectrum": cmd_spectrum,
-    "stats": cmd_stats,
-    "diagnose": cmd_diagnose,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        _check(args)
+        return args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

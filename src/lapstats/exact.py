@@ -20,10 +20,11 @@ residues back to integers:
   (tr(A)^2 - tr(A^2)) / 2; a mismatch raises ArithmeticError.
 
 The work, about P n^4 multiply-adds for P primes, is checked against
-MAX_CHARPOLY_WORK before any matrix is built. Independent combinatorial
-routes (spanning-forest sums, matching counts, a fraction-free minor
-determinant, and the closed-form family formulas in ``families``) exist so
-the pipeline can be cross-checked rather than trusted.
+MAX_CHARPOLY_WORK (``charpoly_guard``) before any matrix is built, and for a
+named family from its closed-form n and maximum degree before the graph is.
+Independent combinatorial routes (spanning-forest sums, matching counts, a
+fraction-free minor determinant, and the closed-form family formulas in
+``families``) exist so the pipeline can be cross-checked rather than trusted.
 
 Coefficient vectors are plain lists c[0..n] of nonnegative integers with
 sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.
@@ -112,6 +113,12 @@ def _moduli(n: int, r: int) -> tuple[int, ...]:
     return CHARPOLY_PRIMES[:count]
 
 
+def charpoly_guard(n: int, max_degree: int) -> None:
+    """Refuse the exact charpoly of an n-vertex (signless) Laplacian, whose
+    row sums are at most 2 max_degree, past the prime table or work budget."""
+    _moduli(n, 2 * max_degree)
+
+
 def _reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """x mod p into [0, p), in place, for integers |x| <= R p in float64.
 
@@ -174,9 +181,7 @@ def charpoly_monic(matrix: list[list[int]]) -> list[int]:
 
 def _unsigned_coefficients(g: Graph, build: Callable[[Graph], list[list[int]]],
                           label: str) -> list[int]:
-    # the exact route's cost, from n and the row sum R = 2 max degree, is
-    # checked before the matrix is built
-    _moduli(g.n, 2 * g.max_degree)
+    charpoly_guard(g.n, g.max_degree)
     poly = charpoly_monic(build(g))
     n = g.n
     out = []
@@ -318,11 +323,11 @@ def spanning_tree_count(g: Graph) -> int:
     return _bareiss_determinant(minor)
 
 
-def coefficients_from_eigenvalues(values) -> list[int]:
-    """Expand prod(x + lam) for integer eigenvalues, exact."""
+def coefficients_from_eigenvalues(values) -> list:
+    """Expand prod(x + lam); exact for integer eigenvalues, and floats in,
+    floats out for the reconstruction cross-checks."""
     coeffs = [1]
     for lam in values:
-        lam = int(lam)
         longer = [0] * (len(coeffs) + 1)
         for i, a in enumerate(coeffs):
             longer[i + 1] += a

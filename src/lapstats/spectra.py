@@ -124,16 +124,3 @@ def trace_check(s: Spectrum, g: Graph) -> float:
     """|sum of eigenvalues - 2|E||, a solver health metric. ``g`` may also be
     a ``families.Shape``, so closed-form members need not be built."""
     return abs(math.fsum(s.values) - 2.0 * g.edge_count)
-
-
-def expand_from_spectrum(values) -> list[float]:
-    """Float coefficients of prod(x + lam); for reconstruction cross-checks."""
-    coeffs = [1.0]
-    for lam in values:
-        lam = float(lam)
-        longer = [0.0] * (len(coeffs) + 1)
-        for i, a in enumerate(coeffs):
-            longer[i + 1] += a
-            longer[i] += a * lam
-        coeffs = longer
-    return coeffs

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -240,7 +241,42 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "coeffs", "--family", "path", "--n", "4")
         assert code == 3 and "boom" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "path", "--ladder", "10", "--jobs", "0"],
+        ["verify", "--jobs", "0"],
+    ])
+    def test_jobs_below_one_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_unknown_command_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["frobnicate"])
         assert info.value.code == 2
+
+
+# SHA-256 of stdout for outputs made only of exact integers or PASS lines, so
+# no change of route or of argument handling may move a byte of them
+PINNED_STDOUT = [
+    (["coeffs", "--family", "complete", "--n", "5"],
+     "efca0a0d254f437809ba4f8bafca01c82078a7a4798af4548d309293346acdd6"),
+    (["coeffs", "--family", "path", "--n", "2000", "--closed-form", "--format", "csv"],
+     "dc0268002dbfd76c42cd53f2db4c7b13e4da5993dff45ac9c0011181bd33f9ba"),
+    (["coeffs", "--family", "cycle", "--n", "7", "--signless"],
+     "75a88cb11af591cd517fa52bf86e085b4cbce2ec5941e481122b03a2d6e1f475"),
+    (["coeffs", "--family", "random_tree", "--n", "30", "--seed", "2"],
+     "77f7c118bac6edc4a2011ff19eb9a89dbae0e649c54d9f60c8fb348288f98ce1"),
+    (["coeffs", "--edge-list", "PATH5", "--signless"],
+     "d4257dadae5e112067ac34ab493cdd21f033c604ad3ccfa0167de96ddf0b259c"),
+    (["verify"],
+     "987cdb7bdad92dc3e171d0092165b2c71ef986ae75bfb1c60dd1e1ee48760924"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=[" ".join(a) for a, _ in PINNED_STDOUT])
+def test_exact_stdout_is_pinned(capsys, tmp_path, argv, digest):
+    path5 = tmp_path / "path5.txt"
+    path5.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, *(str(path5) if a == "PATH5" else a for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

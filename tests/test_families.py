@@ -71,6 +71,14 @@ def test_edge_budget_checked_before_building(no_graphs):
     ["diagnose", "--family", "random_tree", "--n", "200000", "--seed", "1"],
     ["stats", "--family", "complete_binary_tree", "--n", "12"],
     ["sweep", "--family", "random_regular", "--ladder", "5000:3", "--seed", "1"],
+    # coeffs and spectrum check their guards on the closed-form shape: the
+    # exact charpoly from n and the maximum degree, the dense matrix from n
+    ["coeffs", "--family", "complete", "--n", "2000"],
+    ["coeffs", "--family", "complete", "--n", "2000", "--signless"],
+    ["coeffs", "--family", "path", "--n", "1000000"],
+    # no maximum degree in the table, so only the dense guard applies
+    ["coeffs", "--family", "random_tree", "--n", "1000000", "--seed", "1"],
+    ["spectrum", "--family", "random_tree", "--n", "1000000", "--seed", "1"],
 ])
 def test_cli_guard_exits_3_before_building(capsys, no_graphs, argv):
     assert cli.main(argv) == 3
