@@ -106,8 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check(args: argparse.Namespace) -> None:
-    """Parse --n and --ladder in place; require exactly one input and
-    refuse a signless closed form."""
+    """Parse --n and --ladder in place; require exactly one input, refuse a
+    signless closed form, and require --jobs >= 1. The work runs serially
+    whatever --jobs is; the flag is accepted so existing invocations work."""
+    if getattr(args, "jobs", 1) < 1:
+        raise InputError("--jobs must be >= 1")
     if args.command in ("coeffs", "spectrum", "stats", "diagnose"):
         if args.family is not None:
             if args.n is None:
@@ -201,14 +204,14 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = diagnostics.run_sweep(args.family, args.ladder, args.seed, jobs=args.jobs)
+    rows = diagnostics.run_sweep(args.family, args.ladder, args.seed)
     text = serialize.rows_json(rows) if args.format == "json" else serialize.rows_csv(rows)
     _emit(args, text)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_verification(jobs=args.jobs)
+    results = run_verification()
     text = "".join(r.line() + "\n" for r in results)
     ok = all(r.ok for r in results)
     text += f"verification: {'PASS' if ok else 'FAIL'} ({sum(r.ok for r in results)}/{len(results)} checks)\n"

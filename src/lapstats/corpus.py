@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 from . import exact, limits, spectra
-from .errors import InputError
 from .families import (
     FAMILIES,
     FamilySpec,
@@ -384,13 +383,7 @@ _CHECKS = (
 )
 
 
-def run_verification(jobs: int = 1) -> list[CheckResult]:
-    """Run every invariant check over the pinned corpus, in the fixed order.
-
-    The checks run serially; ``jobs`` is validated and otherwise ignored,
-    kept so that existing ``--jobs`` invocations still work.
-    """
-    if jobs < 1:
-        raise InputError("jobs must be >= 1")
+def run_verification() -> list[CheckResult]:
+    """Run every invariant check over the pinned corpus, in the fixed order."""
     corpus = _corpus()
     return [check(corpus) for check in _CHECKS]

@@ -88,19 +88,12 @@ def diagnose_graph(g: Graph) -> DiagnosticsRow:
     return _row(None, g, spectra.numeric_spectrum(exact.laplacian_matrix(g)))
 
 
-def run_sweep(family: str, ladder, seed: int | None = None,
-              jobs: int = 1) -> list[DiagnosticsRow]:
+def run_sweep(family: str, ladder, seed: int | None = None) -> list[DiagnosticsRow]:
     """One diagnostic row per ladder entry, ordered by ascending size
     parameters. An entry is an integer for every size parameter or a tuple
-    with one value per parameter.
-
-    The rows are computed serially; ``jobs`` is validated and otherwise
-    ignored, kept so that existing ``--jobs`` invocations still work.
-    """
+    with one value per parameter."""
     record = family_record(family)
     sizes = sorted(_params(record, size) for size in ladder)
     if not sizes:
         raise InputError("sweep ladder must be nonempty")
-    if jobs < 1:
-        raise InputError("jobs must be >= 1")
     return [diagnose_family(family, size, seed) for size in sizes]

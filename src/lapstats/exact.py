@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Callable
+from itertools import chain
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .graphs import Graph
 FOREST_EDGE_GUARD = 24
 MATCHING_EDGE_GUARD = 64
 # no dense n x n matrix is built for more vertices; `stats` on a 4096-vertex
-# edge list peaks near 0.4 GB
+# edge list peaks near 0.29 GB, the float64 matrix and LAPACK's copy of it
 MAX_DENSE_VERTICES = 1 << 12
 # multiply-adds of the exact charpoly, P primes times n^4; a 4-regular graph
 # on 128 vertices needs 10 primes, 2.7e9
@@ -70,26 +71,25 @@ def dense_guard(n: int) -> None:
         )
 
 
-def laplacian_matrix(g: Graph) -> list[list[int]]:
+def _dense_laplacian(g: Graph, sign: float) -> np.ndarray:
+    """Degree matrix plus ``sign`` times the adjacency matrix, n x n float64."""
+    dense_guard(g.n)
+    ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.edge_count)
+    m = np.zeros((g.n, g.n))
+    m[ends[0::2], ends[1::2]] = sign
+    m[ends[1::2], ends[0::2]] = sign
+    np.fill_diagonal(m, np.bincount(ends, minlength=g.n))
+    return m
+
+
+def laplacian_matrix(g: Graph) -> np.ndarray:
     """Degree matrix minus adjacency matrix."""
-    dense_guard(g.n)
-    m = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        m[u][v] = m[v][u] = -1
-        m[u][u] += 1
-        m[v][v] += 1
-    return m
+    return _dense_laplacian(g, -1.0)
 
 
-def signless_laplacian_matrix(g: Graph) -> list[list[int]]:
+def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     """Degree matrix plus adjacency matrix."""
-    dense_guard(g.n)
-    m = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        m[u][v] = m[v][u] = 1
-        m[u][u] += 1
-        m[v][v] += 1
-    return m
+    return _dense_laplacian(g, 1.0)
 
 
 def _moduli(n: int, r: int) -> tuple[int, ...]:
@@ -133,19 +133,22 @@ def _reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return x
 
 
-def charpoly_monic(matrix: list[list[int]]) -> list[int]:
+def charpoly_monic(matrix: list[list[int]] | np.ndarray) -> list[int]:
     """Coefficients of det(xI - M), ascending, leading coefficient 1.
 
     Multi-modular Faddeev-LeVerrier with CRT reconstruction (see the module
     docstring); exact by construction for any square integer matrix within
-    the guard, and certified by its top two coefficients.
+    the guard, given as rows or as an ndarray such as the Laplacian builders
+    return, and certified by its top two coefficients.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise InputError("matrix must be square")
-    primes = _moduli(n, max((sum(map(abs, row)) for row in matrix), default=0))
+    # the row sums are guarded before any entry becomes a float, so an entry
+    # too large for float64 is refused, not overflowed
+    primes = _moduli(n, max((int(sum(map(abs, row))) for row in matrix), default=0))
     count = len(primes)
-    a = np.array(matrix, dtype=np.float64).reshape(n, n)
+    a = np.asarray(matrix, dtype=np.float64).reshape(n, n)
     p = np.repeat(np.array(primes, dtype=np.float64), n)
     # the running matrix for prime j is column block j of one n x (count n)
     # array; flat positions of each block's diagonal, shape (n, count)
@@ -168,18 +171,20 @@ def charpoly_monic(matrix: list[list[int]]) -> list[int]:
         value = sum(r * w for r, w in zip(row, weights)) % modulus
         coeffs.append(value - modulus if 2 * value > modulus else value)
     coeffs.append(1)
-    trace = sum(matrix[i][i] for i in range(n))
+    # past the guard every entry, tr A and tr A^2 is an integer below 2^53,
+    # so these float sums are exact in any order
+    trace = float(a.trace())
     if n >= 1 and coeffs[n - 1] != -trace:
         raise ArithmeticError(f"charpoly certificate: x^{n - 1} coefficient is not -tr A")
     if n >= 2:
-        trace_sq = sum(x * y for row, col in zip(matrix, zip(*matrix)) for x, y in zip(row, col))
+        trace_sq = float(np.einsum("ij,ji->", a, a))
         if 2 * coeffs[n - 2] != trace * trace - trace_sq:
             raise ArithmeticError(
                 f"charpoly certificate: x^{n - 2} coefficient is not (tr(A)^2 - tr(A^2)) / 2")
     return coeffs
 
 
-def _unsigned_coefficients(g: Graph, build: Callable[[Graph], list[list[int]]],
+def _unsigned_coefficients(g: Graph, build: Callable[[Graph], np.ndarray],
                           label: str) -> list[int]:
     charpoly_guard(g.n, g.max_degree)
     poly = charpoly_monic(build(g))
@@ -283,9 +288,9 @@ def matching_counts(g: Graph) -> list[int]:
     return list(raw) + [0] * (length - len(raw))
 
 
-def _bareiss_determinant(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination with row pivoting."""
-    a = [row[:] for row in rows]
+def _bareiss_determinant(a: list[list[int]]) -> int:
+    """Exact determinant by fraction-free elimination with row pivoting, in
+    place."""
     n = len(a)
     if n == 0:
         return 1
@@ -318,9 +323,7 @@ def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees: determinant of a principal Laplacian minor."""
     if g.n < 1:
         raise InputError("spanning_tree_count needs at least one vertex")
-    lap = laplacian_matrix(g)
-    minor = [row[1:] for row in lap[1:]]
-    return _bareiss_determinant(minor)
+    return _bareiss_determinant(laplacian_matrix(g)[1:, 1:].astype(int).tolist())
 
 
 def coefficients_from_eigenvalues(values) -> list:

@@ -19,12 +19,8 @@ from typing import Callable, NamedTuple
 
 from . import exact, spectra
 from .errors import GuardExceeded, InputError
-from .graphs import MAX_VERTICES, Graph, cone, empty_graph, join
+from .graphs import MAX_EDGES, MAX_VERTICES, Graph, cone, empty_graph, join
 from .spectra import Spectrum
-
-# budgets checked from the closed forms before anything is allocated; the
-# vertex budget is the one edge lists share
-MAX_EDGES = 1 << 21
 
 _REGULAR_RETRY_LIMIT = 10_000
 _SQRT5 = math.sqrt(5.0)

@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 from .errors import GuardExceeded, InputError
 
-# vertex budget of every graph read or named, checked before it is built
+# vertex and edge budgets of every graph read or named, checked before it is
+# built
 MAX_VERTICES = 1 << 20
+MAX_EDGES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,8 @@ def parse_edge_list(text: str) -> Graph:
         raise InputError(f"line {lineno}: expected integers in header, got {header!r}") from None
     if n > MAX_VERTICES:
         raise GuardExceeded(f"edge list declares {n} vertices, above the budget of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise GuardExceeded(f"edge list declares {m} edges, above the budget of {MAX_EDGES}")
     if m != len(rows) - 1:
         raise InputError(f"header declares {m} edges but {len(rows) - 1} edge lines follow")
     pairs = []

@@ -18,8 +18,10 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 from .graphs import Graph, max_degree
 
-DEFAULT_TOL = 1e-12
+# negative eigenvalues within 10 * SNAP_TOL * ||A||_F of zero are snapped to 0
+SNAP_TOL = 1e-12
 TRACE_TOL = 1e-8
+# how close to zero the eigenvalue a join or cone consumes must be
 ZERO_MATCH_TOL = 1e-8
 
 
@@ -39,18 +41,17 @@ class Spectrum:
         return cls(tuple(sorted((float(v) for v in values), reverse=True)), exact)
 
 
-def numeric_spectrum(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
+def numeric_spectrum(matrix) -> Spectrum:
     """Eigenvalues of a symmetric integer matrix by LAPACK (numpy ``eigvalsh``).
 
-    Every result is certified by its trace: if the eigenvalue sum misses the
-    matrix trace by more than TRACE_TOL * max(1, |trace|), or LAPACK fails,
-    ConvergenceError is raised. Tiny negative results within 10 * tol * scale
-    of zero (scale = Frobenius norm of the input) are snapped to 0, since the
-    matrices of interest are positive semi-definite.
+    A float64 ndarray, such as the Laplacian builders return, is read without
+    a copy. Every result is certified by its trace: if the eigenvalue sum
+    misses the matrix trace by more than TRACE_TOL * max(1, |trace|), or
+    LAPACK fails, ConvergenceError is raised. Tiny negative results within
+    10 * SNAP_TOL * scale of zero (scale = Frobenius norm of the input) are
+    snapped to 0, since the matrices of interest are positive semi-definite.
     """
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
-    a = np.array(matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError("matrix must be square")
     if not np.array_equal(a, a.T):
@@ -68,22 +69,21 @@ def numeric_spectrum(matrix, tol: float = DEFAULT_TOL) -> Spectrum:
     trace = float(np.trace(a))
     residual = abs(math.fsum(values) - trace)
     # negated so that a NaN residual fails the certificate too
-    if not residual <=TRACE_TOL * max(1.0, abs(trace)):
+    if not residual <= TRACE_TOL * max(1.0, abs(trace)):
         raise ConvergenceError(f"eigenvalue sum misses the trace by {residual:.3e}")
-    snap = 10.0 * tol * scale
+    snap = 10.0 * SNAP_TOL * scale
     return Spectrum.from_values(0.0 if -snap < v < 0.0 else v for v in values)
 
 
-def _drop_one_zero(s: Spectrum, tol: float, what: str) -> list[float]:
+def _drop_one_zero(s: Spectrum, what: str) -> list[float]:
     values = list(s.values)
     smallest = values[-1]
-    if abs(smallest) > tol:
+    if abs(smallest) > ZERO_MATCH_TOL:
         raise InputError(f"{what} spectrum has no zero eigenvalue (smallest {smallest!r})")
     return values[:-1]
 
 
-def join_spectrum(s1: Spectrum, n1: int, s2: Spectrum, n2: int,
-                  tol: float = ZERO_MATCH_TOL) -> Spectrum:
+def join_spectrum(s1: Spectrum, n1: int, s2: Spectrum, n2: int) -> Spectrum:
     """Laplacian spectrum of the join, from the two input spectra.
 
     Consumes exactly one zero eigenvalue of each input (the smallest), adds
@@ -94,17 +94,17 @@ def join_spectrum(s1: Spectrum, n1: int, s2: Spectrum, n2: int,
         raise InputError("spectrum length must equal the stated vertex count")
     if n1 < 1 or n2 < 1:
         raise InputError("join needs nonempty parts")
-    rest1 = _drop_one_zero(s1, tol, "first")
-    rest2 = _drop_one_zero(s2, tol, "second")
+    rest1 = _drop_one_zero(s1, "first")
+    rest2 = _drop_one_zero(s2, "second")
     values = [0.0, float(n1 + n2)]
     values.extend(n2 + v for v in rest1)
     values.extend(n1 + v for v in rest2)
     return Spectrum.from_values(values, exact=s1.exact and s2.exact)
 
 
-def cone_spectrum(s: Spectrum, n: int, tol: float = ZERO_MATCH_TOL) -> Spectrum:
+def cone_spectrum(s: Spectrum, n: int) -> Spectrum:
     """Spectrum of the cone over a graph with the given spectrum."""
-    return join_spectrum(s, n, Spectrum((0.0,), exact=True), 1, tol=tol)
+    return join_spectrum(s, n, Spectrum((0.0,), exact=True), 1)
 
 
 def gershgorin_bound(g: Graph) -> int:

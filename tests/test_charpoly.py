@@ -71,7 +71,8 @@ def test_corpus_matches_python_integer_oracle():
     for label, g in corpus_graphs():
         for build in (laplacian_matrix, signless_laplacian_matrix):
             m = build(g)
-            assert charpoly_monic(m) == faddeev_leverrier(m), (label, build.__name__)
+            assert charpoly_monic(m) == faddeev_leverrier(m.astype(int).tolist()), (
+                label, build.__name__)
 
 
 def test_random_integer_matrices_match_oracle():
@@ -85,7 +86,7 @@ def test_random_integer_matrices_match_oracle():
 @pytest.mark.parametrize("n, d", [(64, 4), (96, 3), (128, 4)])
 def test_regular_graphs_match_sympy(n, d):
     m = laplacian_matrix(random_regular(n, d, 11))
-    assert charpoly_monic(m) == _sympy_charpoly(m)
+    assert charpoly_monic(m) == _sympy_charpoly(m.astype(int).tolist())
 
 
 def test_general_integer_matrix_matches_sympy():
@@ -133,9 +134,10 @@ def test_guard_admits_128_vertex_4_regular():
 
 
 def test_charpoly_refuses_row_sums_past_the_table():
-    m = [[MAX_CHARPOLY_SCALE + 1]]
-    with pytest.raises(GuardExceeded):
-        charpoly_monic(m)
+    # an entry too large for float64 meets the same guard, not an overflow
+    for m in ([[MAX_CHARPOLY_SCALE + 1]], [[10 ** 400]]):
+        with pytest.raises(GuardExceeded):
+            charpoly_monic(m)
 
 
 def test_certificate_catches_a_modulus_too_small(monkeypatch):
@@ -163,9 +165,12 @@ def test_coeffs_on_500_vertex_path_exits_3_before_any_matrix(capsys, monkeypatch
 @pytest.mark.parametrize("command", ["coeffs", "spectrum", "stats", "diagnose"])
 def test_huge_edge_list_header_exits_3_before_building(capsys, no_graphs, tmp_path, command):
     path = tmp_path / "huge.txt"
-    path.write_text("1000000000 0\n")
-    code, err = _run(capsys, [command, "--edge-list", str(path)])
-    assert code == 3 and err.startswith("error:")
+    # past the vertex budget; past the edge budget, refused before the missing
+    # edge lines are noticed
+    for header in ("1000000000 0", "10 3000000"):
+        path.write_text(header + "\n")
+        code, err = _run(capsys, [command, "--edge-list", str(path)])
+        assert code == 3 and err.startswith("error:"), header
 
 
 @pytest.mark.parametrize("command", ["coeffs", "spectrum", "stats", "diagnose"])

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
+from lapstats.corpus import corpus_graphs
 from lapstats.errors import GuardExceeded, InputError
 from lapstats.exact import (
     charpoly_monic,
@@ -21,25 +23,57 @@ from lapstats.graphs import (
     graph_from_edge_list,
     subdivision,
 )
+from lapstats.spectra import numeric_spectrum
 
 
 def fam(name, *size):
     return make_family(FamilySpec(name, tuple(size)))
 
 
+def reference_matrix(g, sign):
+    """Degree matrix plus sign times adjacency, as Python lists, one edge at
+    a time: the oracle of the ndarray builder."""
+    m = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        m[u][v] = m[v][u] = sign
+        m[u][u] += 1
+        m[v][v] += 1
+    return m
+
+
 class TestMatrices:
     def test_k2_laplacian(self):
-        assert laplacian_matrix(fam("complete", 2)) == [[1, -1], [-1, 1]]
+        assert laplacian_matrix(fam("complete", 2)).tolist() == [[1, -1], [-1, 1]]
 
     def test_k2_signless(self):
-        assert signless_laplacian_matrix(fam("complete", 2)) == [[1, 1], [1, 1]]
+        assert signless_laplacian_matrix(fam("complete", 2)).tolist() == [[1, 1], [1, 1]]
 
     def test_empty_graph_is_zero_matrix(self):
-        assert laplacian_matrix(empty_graph(3)) == [[0] * 3 for _ in range(3)]
+        assert laplacian_matrix(empty_graph(3)).tolist() == [[0] * 3 for _ in range(3)]
 
     def test_laplacian_rows_sum_to_zero(self):
-        for row in laplacian_matrix(fam("wheel", 6)):
+        for row in laplacian_matrix(fam("wheel", 6)).tolist():
             assert sum(row) == 0
+
+    @pytest.mark.parametrize("build, sign", [(laplacian_matrix, -1), (signless_laplacian_matrix, 1)])
+    def test_corpus_matches_list_builder(self, build, sign):
+        for label, g in corpus_graphs():
+            m = build(g)
+            want = reference_matrix(g, sign)
+            assert m.dtype == float and m.tolist() == want, label
+            assert numeric_spectrum(m).values == numeric_spectrum(want).values, label
+
+    def test_spectrum_of_built_matrix_peaks_near_one_matrix(self):
+        n = 1024
+        g = fam("path", n)
+        tracemalloc.start()
+        try:
+            numeric_spectrum(laplacian_matrix(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the matrix itself is 8 n^2 bytes; a second full copy would double it
+        assert peak < 1.5 * 8 * n * n
 
 
 class TestCharpoly:
