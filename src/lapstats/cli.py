@@ -175,7 +175,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         matrix = exact.signless_laplacian_matrix(g) if args.signless else exact.laplacian_matrix(g)
         s = spectra.numeric_spectrum(matrix)
     residual = spectra.trace_check(s, g)
-    text = serialize.spectrum_json(s, residual) if args.format == "json" else serialize.spectrum_csv(s, residual)
+    text = serialize.spectrum_json(s, residual) if args.format == "json" else serialize.spectrum_csv(s)
     _emit(args, text)
     return 0
 

@@ -2,10 +2,11 @@
 normalized probabilities from exact coefficients, and the distances used to
 diagnose normal versus Poisson limiting behavior.
 
-Exact integer coefficients normalize through logarithms, so vectors with
-tens of thousands of bits do not overflow. Probabilities from a spectrum are
-the Poisson-binomial law of the eigenvalues, multiplied out by a balanced
-product tree of its linear factors with FFT products.
+Exact integer coefficients normalize by exact integer division, so each
+probability is correctly rounded and vectors with tens of thousands of bits
+do not overflow. Probabilities from a spectrum are the Poisson-binomial law
+of the eigenvalues, multiplied out by a balanced product tree of its linear
+factors with FFT products.
 """
 
 from __future__ import annotations
@@ -48,42 +49,20 @@ def mean_variance(s: Spectrum) -> LimitStats:
 
 
 def normalized_probabilities(coeffs) -> list[float]:
-    """p[k] = c[k] / sum(c), computed as exp(log c[k] - logsumexp).
+    """p[k] = c[k] / sum(c), each correctly rounded.
 
-    Zero coefficients map to exactly 0.0. Exact integer inputs of any size
-    are fine; math.log takes arbitrary-precision integers directly.
+    Python divides integers of any size exactly and rounds once, so exact
+    inputs with tens of thousands of bits neither overflow nor lose digits,
+    and zero coefficients map to exactly 0.0.
     """
-    logs: list[float | None] = []
+    coeffs = list(coeffs)  # read twice below; any iterable is accepted
     for c in coeffs:
         if c < 0:
             raise InputError(f"negative coefficient {c!r}")
-        logs.append(math.log(c) if c > 0 else None)
-    finite = [l for l in logs if l is not None]
-    if not finite:
+    total = sum(coeffs)
+    if total == 0:
         raise InputError("all coefficients are zero")
-    top = max(finite)
-    lse = top + math.log(math.fsum(math.exp(l - top) for l in finite))
-    return [math.exp(l - lse) if l is not None else 0.0 for l in logs]
-
-
-# factors with at most this many terms multiply by direct convolution, longer
-# ones by FFT
-_DIRECT_TERMS = 64
-
-
-def _multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row i of the result is the polynomial product of rows i of ``a`` and
-    ``b``, two stacks of coefficient rows of one length."""
-    terms = a.shape[1]
-    size = 2 * terms - 1
-    if terms <= _DIRECT_TERMS:
-        out = np.zeros((a.shape[0], size))
-        for k in range(terms):
-            out[:, k:k + terms] += a[:, k, None] * b
-        return out
-    fft_len = 1 << (size - 1).bit_length()
-    product = np.fft.rfft(a, fft_len) * np.fft.rfft(b, fft_len)
-    return np.fft.irfft(product, fft_len)[:, :size]
+    return [c / total for c in coeffs]
 
 
 def probabilities_from_spectrum(s: Spectrum) -> list[float]:
@@ -93,11 +72,11 @@ def probabilities_from_spectrum(s: Spectrum) -> list[float]:
     Dividing by prod(1 + lam) gives prod(q_i + p_i x) with p_i = 1/(1 + lam_i),
     so this is the Poisson-binomial law of the normalized coefficients
     (Harper's method). The factors multiply pairwise up a balanced tree, a
-    whole level at a time, by direct convolution while they have at most
-    ``_DIRECT_TERMS`` terms and by FFT above: O(n log^2 n) in all. FFT
-    round-off below 0 is clipped and the result renormalized once. It is the
-    one route ``diagnostics`` takes for every spectrum, closed-form or
-    numeric; exact integers stay in ``coeffs`` and ``verify``.
+    whole level at a time: one stacked FFT of the level at a power-of-two
+    length, even rows times odd rows, and one inverse FFT, O(n log^2 n) in
+    all. FFT round-off below 0 is clipped and the result renormalized once.
+    It is the one route ``diagnostics`` takes for every spectrum, closed-form
+    or numeric; exact integers stay in ``coeffs`` and ``verify``.
     """
     lam = np.array(s.values, dtype=float)
     if lam.size == 0:
@@ -109,7 +88,10 @@ def probabilities_from_spectrum(s: Spectrum) -> list[float]:
     while len(rows) > 1:
         if len(rows) % 2:  # pad with the polynomial 1
             rows = np.vstack((rows, np.eye(1, rows.shape[1])))
-        rows = _multiply_rows(rows[0::2], rows[1::2])
+        size = 2 * rows.shape[1] - 1
+        fft_len = 1 << (size - 1).bit_length()
+        level = np.fft.rfft(rows, fft_len)
+        rows = np.fft.irfft(level[0::2] * level[1::2], fft_len)[:, :size]
     probs = np.clip(rows[0, :lam.size + 1], 0.0, None)
     return (probs / probs.sum()).tolist()
 

@@ -13,25 +13,12 @@ import io
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 
 from .diagnostics import DiagnosticsRow
 from .spectra import Spectrum
 
-_ROW_FIELDS = (
-    "family",
-    "n",
-    "edges",
-    "max_degree",
-    "mu",
-    "sigma2",
-    "sigma2_lower_bound",
-    "clt_distance",
-    "llt_distance",
-    "poisson_distance",
-    "verdict",
-    "mu_per_vertex_err",
-    "sigma2_per_vertex_err",
-)
+_ROW_FIELDS = tuple(f.name for f in fields(DiagnosticsRow))
 _OPTIONAL_ROW_FIELDS = ("poisson_distance", "mu_per_vertex_err", "sigma2_per_vertex_err")
 
 
@@ -89,8 +76,8 @@ def spectrum_json(s: Spectrum, trace_residual: float) -> str:
     )
 
 
-def spectrum_csv(s: Spectrum, trace_residual: float) -> str:
-    del trace_residual  # metadata lives in the JSON form only
+def spectrum_csv(s: Spectrum) -> str:
+    """One row per eigenvalue; the trace residual is in the JSON form only."""
     return _csv_text([["i", "lambda"]] + [[str(i), repr(v)] for i, v in enumerate(s.values)])
 
 

@@ -56,12 +56,6 @@ def numeric_spectrum(matrix) -> Spectrum:
         raise InputError("matrix must be square")
     if not np.array_equal(a, a.T):
         raise InputError("matrix must be symmetric")
-    n = a.shape[0]
-    if n == 0:
-        return Spectrum((), exact=False)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return Spectrum((0.0,) * n, exact=False)
     try:
         values = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
@@ -71,7 +65,7 @@ def numeric_spectrum(matrix) -> Spectrum:
     # negated so that a NaN residual fails the certificate too
     if not residual <= TRACE_TOL * max(1.0, abs(trace)):
         raise ConvergenceError(f"eigenvalue sum misses the trace by {residual:.3e}")
-    snap = 10.0 * SNAP_TOL * scale
+    snap = 10.0 * SNAP_TOL * float(np.linalg.norm(a))
     return Spectrum.from_values(0.0 if -snap < v < 0.0 else v for v in values)
 
 

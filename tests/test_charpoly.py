@@ -140,6 +140,21 @@ def test_charpoly_refuses_row_sums_past_the_table():
             charpoly_monic(m)
 
 
+class _UnreadableRow:
+    """A row of the right length whose entries cannot be read."""
+
+    def __len__(self):
+        return 600
+
+    def __iter__(self):
+        raise AssertionError("an entry was read")
+
+
+def test_charpoly_refuses_n_before_reading_entries():
+    with pytest.raises(GuardExceeded):
+        charpoly_monic([_UnreadableRow() for _ in range(600)])
+
+
 def test_certificate_catches_a_modulus_too_small(monkeypatch):
     monkeypatch.setattr(exact, "_moduli", lambda n, r: (7,))
     with pytest.raises(ArithmeticError):

@@ -84,6 +84,7 @@ class TestMeanVariance:
 class TestProbabilities:
     def test_tiny_vector(self):
         assert normalized_probabilities([0, 1, 1]) == [0.0, 0.5, 0.5]
+        assert normalized_probabilities(iter([0, 1, 1])) == [0.0, 0.5, 0.5]
 
     def test_path3(self):
         probs = normalized_probabilities([0, 3, 4, 1])
@@ -110,6 +111,14 @@ class TestProbabilities:
     def test_all_zero_rejected(self):
         with pytest.raises(InputError):
             normalized_probabilities([0, 0, 0])
+
+    @pytest.mark.parametrize("family, size", [
+        ("complete", (2000,)), ("complete_bipartite", (500, 500)), ("path", (3000,))])
+    def test_each_probability_is_correctly_rounded(self, family, size):
+        coeffs = closed_form_coefficients(family, *size)
+        total = sum(coeffs)
+        probs = normalized_probabilities(coeffs)
+        assert all(p == float(Fraction(c, total)) for p, c in zip(probs, coeffs))
 
     def test_spectrum_route_matches_exact_route(self):
         for family, params in (("wheel", (9,)), ("complete", (8,)), ("star", (12,))):
@@ -141,8 +150,8 @@ def _corpus_spectra() -> list[Spectrum]:
 
 
 def _seeded_spectra() -> list[Spectrum]:
-    """Lengths on both sides of the 64-term switch to FFT products, with
-    zero eigenvalues, repeated values and spread-out values mixed in."""
+    """Lengths on both sides of powers of two, with zero eigenvalues,
+    repeated values and spread-out values mixed in."""
     rng = np.random.default_rng(20240611)
     out = []
     for n in (1, 2, 3, 31, 63, 64, 65, 66, 127, 128, 129, 200, 257, 700):

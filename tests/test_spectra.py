@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -44,7 +45,10 @@ class TestNumericSolver:
         assert numeric_spectrum([[1, 0], [0, 1]]).values == (1.0, 1.0)
 
     def test_zero_matrix(self):
-        assert numeric_spectrum([[0] * 3 for _ in range(3)]).values == (0.0, 0.0, 0.0)
+        values = numeric_spectrum([[0] * 3 for _ in range(3)]).values
+        assert values == (0.0, 0.0, 0.0)
+        assert all(math.copysign(1.0, v) == 1.0 for v in values)  # +0.0, never -0.0
+        assert numeric_spectrum(np.zeros((0, 0))).values == ()
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(InputError, match="symmetric"):
