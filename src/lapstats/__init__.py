@@ -24,9 +24,11 @@ from .exact import (
     coefficients_from_eigenvalues,
     forest_sum_oracle,
     laplacian_coefficients,
+    laplacian_coefficients_many,
     laplacian_matrix,
     matching_counts,
     signless_coefficients,
+    signless_coefficients_many,
     signless_laplacian_matrix,
     spanning_tree_count,
     wiener_index,

@@ -4,8 +4,10 @@ The corpus is fixed so repeated runs are reproducible: every named family at
 sizes 1..12 where valid, 20 seeded random trees per order in 4..9 (extended
 to 12 for the coefficient sandwich), and 10 seeded random regular graphs for
 (n, d) in {(8, 3), (10, 3), (10, 4)}. Each graph's Laplacian
-coefficients are computed once per run and shared by every check that needs
-them. Checks return one pass/fail line each and never depend on execution
+coefficients are computed once per run, by one stacked exact charpoly per
+vertex count over the corpus and the extra trees, and shared by every check
+that needs them; the bipartite signless check stacks its graphs the same
+way. Checks return one pass/fail line each and never depend on execution
 order.
 """
 
@@ -102,20 +104,22 @@ class _Corpus:
 
 
 def _corpus() -> _Corpus:
+    graphs = corpus_graphs()
+    labels = {label for label, _ in graphs}
+    trees = corpus_trees(max_n=12)
+    extra = [(label, t) for label, t in trees if label not in labels]
+    everything = graphs + extra
+    coeffs = dict(zip((label for label, _ in everything),
+                      exact.laplacian_coefficients_many(g for _, g in everything)))
     bundles = [
         _Bundle(
             label=label,
             graph=g,
-            coeffs=exact.laplacian_coefficients(g),
+            coeffs=coeffs[label],
             spectrum=spectra.numeric_spectrum(exact.laplacian_matrix(g)),
         )
-        for label, g in corpus_graphs()
+        for label, g in graphs
     ]
-    coeffs = {b.label: b.coeffs for b in bundles}
-    trees = corpus_trees(max_n=12)
-    for label, t in trees:
-        if label not in coeffs:
-            coeffs[label] = exact.laplacian_coefficients(t)
     return _Corpus(bundles, trees, coeffs)
 
 
@@ -191,10 +195,12 @@ def _check_tree_wiener(corpus: _Corpus) -> CheckResult:
 
 def _check_sandwich(corpus: _Corpus) -> CheckResult:
     name = "star-path coefficient sandwich"
+    orders = {t.n for _, t in corpus.trees}
+    stars = {n: closed_form_coefficients("star", n) for n in orders}
+    paths = {n: closed_form_coefficients("path", n) for n in orders}
     for label, t in corpus.trees:
         n = t.n
-        lower = closed_form_coefficients("star", n)
-        upper = closed_form_coefficients("path", n)
+        lower, upper = stars[n], paths[n]
         c = corpus.coeffs[label]
         for k in range(n + 1):
             if not lower[k] <= c[k] <= upper[k]:
@@ -204,14 +210,12 @@ def _check_sandwich(corpus: _Corpus) -> CheckResult:
 
 def _check_bipartite_signless(corpus: _Corpus) -> CheckResult:
     name = "bipartite signless equality"
-    hits = 0
-    for b in corpus.bundles:
-        if not is_bipartite(b.graph):
-            continue
-        hits += 1
-        if exact.signless_coefficients(b.graph) != b.coeffs:
+    bipartite = [b for b in corpus.bundles if is_bipartite(b.graph)]
+    signless = exact.signless_coefficients_many(b.graph for b in bipartite)
+    for b, q in zip(bipartite, signless):
+        if q != b.coeffs:
             return _fail(name, b.label, "signless != laplacian on bipartite graph")
-    return CheckResult(name, True, f"{hits} bipartite graphs")
+    return CheckResult(name, True, f"{len(bipartite)} bipartite graphs")
 
 
 # every corpus family member with a closed coefficient formula

@@ -2,29 +2,36 @@
 
 The main pipeline is a multi-modular Faddeev-LeVerrier characteristic
 polynomial. The recurrence M_1 = I, c[n-k] = -tr(A M_k) / k,
-M_{k+1} = A M_k + c[n-k] I runs modulo a few primes at once, one batched
-float64 BLAS product per step, and the Chinese remainder theorem maps the
-residues back to integers:
+M_{k+1} = A M_k + c[n-k] I runs modulo a few primes at once on a stack of
+same-order matrices, one batched float64 BLAS product per step for the whole
+stack, and the Chinese remainder theorem maps each matrix's residues back to
+integers. ``laplacian_coefficients_many`` stacks its graphs by vertex count,
+so ``verify`` runs one charpoly per order; a single matrix is a stack of one,
+and many large graphs of one order go in stacks of at most MAX_STACK_ENTRIES
+running entries.
 
 * Bound. Every coefficient of det(xI - A) is an elementary symmetric
   function of the eigenvalues, so |c| <= C(n, k) R^k <= (1 + R)^n, where R,
-  the largest absolute row sum, bounds the spectral radius. Primes are taken
-  until their product M exceeds 2 (1 + R)^n; symmetric residues mod M are
-  then the integers themselves, for any integer matrix.
+  the largest absolute row sum, bounds the spectral radius. R is taken over
+  the whole stack, so it bounds every member's own. Primes are taken until
+  their product M exceeds 2 (1 + R)^n; symmetric residues mod M are then the
+  integers themselves, for any integer matrix in the stack.
 * Primes. Each prime p exceeds n (so 1..n are invertible mod p) and
   p * max(R, n) < 2^53. A stays unreduced and the running matrix is reduced
   to [0, p), so every partial sum of a product row or of a trace is an
   integer below 2^53 and exact in float64, whatever order BLAS sums in.
-* Certificate. After the reconstruction the x^(n-1) and x^(n-2)
+* Certificate. After the reconstruction each matrix's x^(n-1) and x^(n-2)
   coefficients are checked in Python integers against -tr A and
-  (tr(A)^2 - tr(A^2)) / 2; a mismatch raises ArithmeticError.
+  (tr(A)^2 - tr(A^2)) / 2; a mismatch raises ArithmeticError naming the
+  matrix's place in the stack.
 
-The work, about P n^4 multiply-adds for P primes, is checked against
-MAX_CHARPOLY_WORK (``charpoly_guard``) before any matrix is built, and for a
-named family from its closed-form n and maximum degree before the graph is.
-Independent combinatorial routes (spanning-forest sums, matching counts, a
-fraction-free minor determinant, and the closed-form family formulas in
-``families``) exist so the pipeline can be cross-checked rather than trusted.
+The work, about P n^4 multiply-adds per matrix for P primes, is checked
+against MAX_CHARPOLY_WORK (``charpoly_guard``) for every graph before any
+matrix is built, and for a named family from its closed-form n and maximum
+degree before the graph is. Independent combinatorial routes (spanning-forest
+sums, matching counts, a fraction-free minor determinant, and the closed-form
+family formulas in ``families``) exist so the pipeline can be cross-checked
+rather than trusted.
 
 Coefficient vectors are plain lists c[0..n] of nonnegative integers with
 sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.
@@ -52,6 +59,10 @@ MAX_DENSE_VERTICES = 1 << 12
 MAX_CHARPOLY_WORK = 1 << 32
 # largest admitted max(R, n); with primes below 2^44, p * max(R, n) < 2^53
 MAX_CHARPOLY_SCALE = 1 << 9
+# float64 entries of the running array of one stacked charpoly, 8 MB; the
+# whole verify corpus of one order fits, while many 128-vertex graphs are
+# taken a few at a time
+MAX_STACK_ENTRIES = 1 << 20
 # the largest primes below 2^44, as many as the work budget can use
 CHARPOLY_PRIMES = (
     17592186044399, 17592186044299, 17592186044297, 17592186044287,
@@ -133,13 +144,63 @@ def _reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return x
 
 
+def _faddeev_leverrier(a: np.ndarray, primes: tuple[int, ...]) -> list[list[int]]:
+    """det(xI - A) ascending for each matrix of a (B, n, n) float64 stack of
+    integer matrices, by the multi-modular recurrence of the module docstring;
+    ``primes`` must cover the stack's largest absolute row sum."""
+    b, n, _ = a.shape
+    count = len(primes)
+    p = np.repeat(np.array(primes, dtype=np.float64), n)
+    # the running matrix for prime j is column block j of one n x (count n)
+    # array per stack member; flat positions of each block's diagonal within
+    # a member, shape (n, count)
+    diagonal = np.arange(n)[:, None] * (count * n + 1) + np.arange(count) * n
+    aux = np.zeros((b, n, count * n))
+    aux.reshape(b, count * n * n)[:, diagonal] = 1.0
+    residues: list[list[list[int]]] = [[] for _ in range(n)]
+    for k in range(1, n + 1):
+        prod = _reduce(a @ aux, p)
+        flat = prod.reshape(b, count * n * n)
+        entries = flat[:, diagonal]
+        inverses = [pow(k, -1, m) for m in primes]
+        q = [[(-int(t) * inv) % m for t, inv, m in zip(traces, inverses, primes)]
+             for traces in entries.sum(axis=1).tolist()]
+        residues[n - k] = q
+        flat[:, diagonal] = _reduce(entries + np.array(q, dtype=np.float64)[:, None, :],
+                                    p[::n])
+        aux = prod
+    modulus = math.prod(primes)
+    weights = [modulus // m * pow(modulus // m, -1, m) for m in primes]
+    # past the guard every entry, tr A and tr A^2 is an integer below 2^53,
+    # so these float sums are exact in any order
+    traces = np.trace(a, axis1=1, axis2=2).tolist()
+    traces_sq = np.einsum("bij,bji->b", a, a).tolist()
+    polys = []
+    for i in range(b):
+        coeffs = []
+        for step in residues:
+            value = sum(r * w for r, w in zip(step[i], weights)) % modulus
+            coeffs.append(value - modulus if 2 * value > modulus else value)
+        coeffs.append(1)
+        trace = traces[i]
+        if n >= 1 and coeffs[n - 1] != -trace:
+            raise ArithmeticError(
+                f"charpoly certificate, matrix {i}: x^{n - 1} coefficient is not -tr A")
+        if n >= 2 and 2 * coeffs[n - 2] != trace * trace - traces_sq[i]:
+            raise ArithmeticError(
+                f"charpoly certificate, matrix {i}: x^{n - 2} coefficient is not "
+                f"(tr(A)^2 - tr(A^2)) / 2")
+        polys.append(coeffs)
+    return polys
+
+
 def charpoly_monic(matrix: list[list[int]] | np.ndarray) -> list[int]:
     """Coefficients of det(xI - M), ascending, leading coefficient 1.
 
     Multi-modular Faddeev-LeVerrier with CRT reconstruction (see the module
-    docstring); exact by construction for any square integer matrix within
-    the guard, given as rows or as an ndarray such as the Laplacian builders
-    return, and certified by its top two coefficients.
+    docstring) on a stack of one; exact by construction for any square
+    integer matrix within the guard, given as rows or as an ndarray such as
+    the Laplacian builders return, and certified by its top two coefficients.
     """
     n = len(matrix)
     if n > MAX_CHARPOLY_SCALE:  # refused before n^2 Python steps of row sums
@@ -149,65 +210,57 @@ def charpoly_monic(matrix: list[list[int]] | np.ndarray) -> list[int]:
     # the row sums are guarded before any entry becomes a float, so an entry
     # too large for float64 is refused, not overflowed
     primes = _moduli(n, max((int(sum(map(abs, row))) for row in matrix), default=0))
-    count = len(primes)
-    a = np.asarray(matrix, dtype=np.float64).reshape(n, n)
-    p = np.repeat(np.array(primes, dtype=np.float64), n)
-    # the running matrix for prime j is column block j of one n x (count n)
-    # array; flat positions of each block's diagonal, shape (n, count)
-    diagonal = np.arange(n)[:, None] * (count * n + 1) + np.arange(count) * n
-    aux = np.zeros((n, count * n))
-    aux.ravel()[diagonal] = 1.0
-    residues: list[list[int]] = [[] for _ in range(n)]
-    for k in range(1, n + 1):
-        prod = _reduce(a @ aux, p)
-        flat = prod.ravel()
-        entries = flat[diagonal]
-        q = [(-int(t) * pow(k, -1, m)) % m for t, m in zip(entries.sum(axis=0), primes)]
-        residues[n - k] = q
-        flat[diagonal] = _reduce(entries + q, p[::n])
-        aux = prod
-    modulus = math.prod(primes)
-    weights = [modulus // m * pow(modulus // m, -1, m) for m in primes]
-    coeffs = []
-    for row in residues:
-        value = sum(r * w for r, w in zip(row, weights)) % modulus
-        coeffs.append(value - modulus if 2 * value > modulus else value)
-    coeffs.append(1)
-    # past the guard every entry, tr A and tr A^2 is an integer below 2^53,
-    # so these float sums are exact in any order
-    trace = float(a.trace())
-    if n >= 1 and coeffs[n - 1] != -trace:
-        raise ArithmeticError(f"charpoly certificate: x^{n - 1} coefficient is not -tr A")
-    if n >= 2:
-        trace_sq = float(np.einsum("ij,ji->", a, a))
-        if 2 * coeffs[n - 2] != trace * trace - trace_sq:
-            raise ArithmeticError(
-                f"charpoly certificate: x^{n - 2} coefficient is not (tr(A)^2 - tr(A^2)) / 2")
-    return coeffs
+    a = np.asarray(matrix, dtype=np.float64).reshape(1, n, n)
+    return _faddeev_leverrier(a, primes)[0]
 
 
-def _unsigned_coefficients(g: Graph, build: Callable[[Graph], np.ndarray],
-                          label: str) -> list[int]:
-    charpoly_guard(g.n, g.max_degree)
-    poly = charpoly_monic(build(g))
-    n = g.n
-    out = []
-    for k in range(n + 1):
-        value = poly[k] if (n - k) % 2 == 0 else -poly[k]
-        if value < 0:
-            raise ArithmeticError(f"negative {label} coefficient c[{k}] = {value}")
-        out.append(value)
+def _unsigned_coefficients_many(graphs, build: Callable[[Graph], np.ndarray],
+                                label: str) -> list[list[int]]:
+    """One stacked charpoly per vertex count, in first-seen order; every
+    graph meets the charpoly guard before any matrix is built."""
+    graphs = list(graphs)
+    for g in graphs:
+        charpoly_guard(g.n, g.max_degree)
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    out: list[list[int]] = [[] for _ in graphs]
+    for n, members in by_order.items():
+        # both Laplacians have row sums 2 deg(v); each member passed its guard
+        primes = _moduli(n, 2 * max(graphs[i].max_degree for i in members))
+        # members per stack, so that the running array stays within budget
+        size = max(1, MAX_STACK_ENTRIES // (len(primes) * n * n or 1))
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            stack = np.stack([build(graphs[i]) for i in chunk])
+            for i, poly in zip(chunk, _faddeev_leverrier(stack, primes)):
+                for k in range(n + 1):
+                    value = poly[k] if (n - k) % 2 == 0 else -poly[k]
+                    if value < 0:
+                        raise ArithmeticError(f"negative {label} coefficient c[{k}] = {value}")
+                    out[i].append(value)
     return out
+
+
+def laplacian_coefficients_many(graphs) -> list[list[int]]:
+    """c(G, k) for k = 0..n for each graph, exact, in input order."""
+    return _unsigned_coefficients_many(graphs, laplacian_matrix, "Laplacian")
+
+
+def signless_coefficients_many(graphs) -> list[list[int]]:
+    """Unsigned signless Laplacian coefficients for each graph, exact, in
+    input order."""
+    return _unsigned_coefficients_many(graphs, signless_laplacian_matrix, "signless Laplacian")
 
 
 def laplacian_coefficients(g: Graph) -> list[int]:
     """c(G, k) for k = 0..n, exact."""
-    return _unsigned_coefficients(g, laplacian_matrix, "Laplacian")
+    return laplacian_coefficients_many([g])[0]
 
 
 def signless_coefficients(g: Graph) -> list[int]:
     """Unsigned coefficients of the signless Laplacian, exact."""
-    return _unsigned_coefficients(g, signless_laplacian_matrix, "signless Laplacian")
+    return signless_coefficients_many([g])[0]
 
 
 def forest_sum_oracle(g: Graph) -> list[int]:
@@ -232,27 +285,26 @@ def forest_sum_oracle(g: Graph) -> list[int]:
             x = parent[x]
         return x
 
-    def visit(i: int, used: int) -> None:
+    def visit(i: int, used: int, orders: int) -> None:
+        # orders is the product of the component orders so far
         if i == len(edges):
-            p = 1
-            for v in range(n):
-                if parent[v] == v:
-                    p *= size[v]
-            coeffs[n - used] += p
+            coeffs[n - used] += orders
             return
-        visit(i + 1, used)
+        visit(i + 1, used, orders)
         u, v = edges[i]
         ru, rv = find(u), find(v)
         if ru != rv:
             if size[ru] < size[rv]:
                 ru, rv = rv, ru
+            a, b = size[ru], size[rv]
             parent[rv] = ru
-            size[ru] += size[rv]
-            visit(i + 1, used + 1)
-            size[ru] -= size[rv]
+            size[ru] = a + b
+            # a and b are both factors of orders, so the division is exact
+            visit(i + 1, used + 1, orders // (a * b) * (a + b))
+            size[ru] = a
             parent[rv] = rv
 
-    visit(0, 0)
+    visit(0, 0, 1)
     return coeffs
 
 

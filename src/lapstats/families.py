@@ -23,6 +23,10 @@ from .graphs import MAX_EDGES, MAX_VERTICES, Graph, cone, empty_graph, join
 from .spectra import Spectrum
 
 _REGULAR_RETRY_LIMIT = 10_000
+# decimal digits a closed-form coefficient vector may have in all: complete
+# 2000 (13.2M) and path 12000 (60.2M) are admitted, path 20000 (167M) is not;
+# its str() alone takes about 14 s on CPython 3.11
+MAX_OUTPUT_DIGITS = 1 << 26
 _SQRT5 = math.sqrt(5.0)
 
 
@@ -362,13 +366,31 @@ def closed_form_spectrum(family: str, *params: int) -> Spectrum:
     return _closed_form("spectrum", family, params)
 
 
+def _output_digits(s: Spectrum) -> int:
+    """(n + 1) (floor(sum log10(1 + lam)) + 1): the decimal digits the n + 1
+    coefficients of prod(x + lam) can reach, each being at most
+    prod(1 + lam), up to the float rounding of the sum."""
+    return (len(s) + 1) * (math.floor(math.fsum(map(math.log1p, s.values)) / math.log(10)) + 1)
+
+
 def closed_form_coefficients(family: str, *params: int) -> list[int]:
     """Exact coefficient vector for a supported named family.
 
     These formulas stay cheap at sizes where the general charpoly, about
     P n^4 work, is refused by its guard; ``coeffs --closed-form`` and
-    ``verify`` use them.
+    ``verify`` use them. Every c_k is at most sum(c) = prod(1 + lam), so the
+    closed-form spectrum bounds the vector's decimal digits before the
+    formula makes any big integer; GuardExceeded when that bound exceeds
+    MAX_OUTPUT_DIGITS.
     """
+    if family_record(family).coefficients is None:
+        raise InputError(f"no closed-form coefficients for family {family!r}")
+    digits = _output_digits(closed_form_spectrum(family, *params))
+    if digits > MAX_OUTPUT_DIGITS:
+        raise GuardExceeded(
+            f"closed-form output guard: {family} {params!r} has up to {digits} decimal "
+            f"digits of coefficients, above {MAX_OUTPUT_DIGITS}"
+        )
     return _closed_form("coefficients", family, params)
 
 

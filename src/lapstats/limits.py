@@ -72,11 +72,14 @@ def probabilities_from_spectrum(s: Spectrum) -> list[float]:
     Dividing by prod(1 + lam) gives prod(q_i + p_i x) with p_i = 1/(1 + lam_i),
     so this is the Poisson-binomial law of the normalized coefficients
     (Harper's method). The factors multiply pairwise up a balanced tree, a
-    whole level at a time: one stacked FFT of the level at a power-of-two
-    length, even rows times odd rows, and one inverse FFT, O(n log^2 n) in
-    all. FFT round-off below 0 is clipped and the result renormalized once.
-    It is the one route ``diagnostics`` takes for every spectrum, closed-form
-    or numeric; exact integers stay in ``coeffs`` and ``verify``.
+    whole level at a time: one stacked FFT of the level at the power-of-two
+    length one below the product's term count, even rows times odd rows, and
+    one inverse FFT, after which the one wrapped top coefficient, known
+    exactly as the product of the rows' top coefficients, moves back from
+    index 0 to the top. O(n log^2 n) in all. FFT round-off below 0 is
+    clipped and the result renormalized once. It is the one route
+    ``diagnostics`` takes for every spectrum, closed-form or numeric; exact
+    integers stay in ``coeffs`` and ``verify``.
     """
     lam = np.array(s.values, dtype=float)
     if lam.size == 0:
@@ -88,10 +91,15 @@ def probabilities_from_spectrum(s: Spectrum) -> list[float]:
     while len(rows) > 1:
         if len(rows) % 2:  # pad with the polynomial 1
             rows = np.vstack((rows, np.eye(1, rows.shape[1])))
-        size = 2 * rows.shape[1] - 1
-        fft_len = 1 << (size - 1).bit_length()
+        # rows have 2^j + 1 terms, so a product has fft_len + 1 = 2^(j+1) + 1:
+        # a cyclic product of length fft_len wraps only its top coefficient,
+        # the product of the two top coefficients, onto index 0
+        fft_len = 2 * rows.shape[1] - 2
+        top = rows[0::2, -1] * rows[1::2, -1]
         level = np.fft.rfft(rows, fft_len)
-        rows = np.fft.irfft(level[0::2] * level[1::2], fft_len)[:, :size]
+        wrapped = np.fft.irfft(level[0::2] * level[1::2], fft_len)
+        wrapped[:, 0] -= top
+        rows = np.column_stack((wrapped, top))
     probs = np.clip(rows[0, :lam.size + 1], 0.0, None)
     return (probs / probs.sum()).tolist()
 

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from lapstats import cli, exact
-from lapstats.corpus import corpus_graphs
+from lapstats.corpus import corpus_graphs, corpus_trees
 from lapstats.errors import GuardExceeded
 from lapstats.exact import (
     CHARPOLY_PRIMES,
@@ -17,10 +17,12 @@ from lapstats.exact import (
     MAX_DENSE_VERTICES,
     charpoly_monic,
     laplacian_coefficients,
+    laplacian_coefficients_many,
     laplacian_matrix,
+    signless_coefficients_many,
     signless_laplacian_matrix,
 )
-from lapstats.families import random_regular, random_tree
+from lapstats.families import FamilySpec, make_family, random_regular, random_tree
 
 
 def faddeev_leverrier(matrix):
@@ -73,6 +75,71 @@ def test_corpus_matches_python_integer_oracle():
             m = build(g)
             assert charpoly_monic(m) == faddeev_leverrier(m.astype(int).tolist()), (
                 label, build.__name__)
+
+
+def _unsigned_oracle(matrix):
+    """(-1)^(n-k) times the Python-integer charpoly: the unsigned coefficients."""
+    poly = faddeev_leverrier(matrix.astype(int).tolist())
+    n = len(poly) - 1
+    return [c if (n - k) % 2 == 0 else -c for k, c in enumerate(poly)]
+
+
+@pytest.mark.parametrize("many, build", [
+    (laplacian_coefficients_many, laplacian_matrix),
+    (signless_coefficients_many, signless_laplacian_matrix),
+])
+def test_stacked_route_matches_oracle_in_input_order(many, build):
+    # the corpus and the trees of orders 10..12, shuffled so that each order's
+    # members are scattered through one call with mixed n
+    graphs = [g for _, g in corpus_graphs()]
+    graphs += [t for _, t in corpus_trees(max_n=12) if t.n >= 10]
+    random.Random(3).shuffle(graphs)
+    assert {g.n for g in graphs} == set(range(1, 13))
+    got = many(graphs)
+    assert len(got) == len(graphs)
+    for g, coeffs in zip(graphs, got):
+        assert coeffs == _unsigned_oracle(build(g))
+
+
+def _fam(family, *size):
+    return make_family(FamilySpec(family, size))
+
+
+def test_stack_takes_primes_for_its_largest_row_sum():
+    # alone, the path needs one prime and K_16 two, since sum c = 17^15 is
+    # past the first prime; in one stack, path first, both are exact
+    assert len(exact._moduli(16, 4)) == 1
+    assert len(exact._moduli(16, 30)) == 2
+    assert 17 ** 15 > CHARPOLY_PRIMES[0]
+    graphs = [_fam("path", 16), _fam("complete", 16), _fam("path", 16)]
+    got = laplacian_coefficients_many(graphs)
+    assert got == [_unsigned_oracle(laplacian_matrix(g)) for g in graphs]
+    assert got[1] == laplacian_coefficients(graphs[1])
+
+
+def test_stack_split_by_entry_budget(monkeypatch):
+    graphs = [g for _, g in corpus_graphs()]
+    want = laplacian_coefficients_many(graphs)
+    # 12-vertex members, 144 entries a prime, go one by one; 5-vertex ones in
+    # stacks of up to eight
+    monkeypatch.setattr(exact, "MAX_STACK_ENTRIES", 200)
+    assert laplacian_coefficients_many(graphs) == want
+
+
+def test_stack_certificate_catches_a_modulus_too_small(monkeypatch):
+    monkeypatch.setattr(exact, "_moduli", lambda n, r: (7,))
+    with pytest.raises(ArithmeticError, match="matrix"):
+        laplacian_coefficients_many([_fam("path", 5), _fam("complete", 5)])
+
+
+def test_stack_guards_every_graph_before_any_matrix(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(exact, "laplacian_matrix", refuse)
+    graphs = [_fam("path", 5), _fam("path", MAX_CHARPOLY_SCALE + 1), _fam("star", 4)]
+    with pytest.raises(GuardExceeded):
+        laplacian_coefficients_many(graphs)
 
 
 def test_random_integer_matrices_match_oracle():

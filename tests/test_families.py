@@ -1,10 +1,15 @@
+import dataclasses
+import time
+
 import pytest
 
-from lapstats import cli
+from lapstats import cli, families
 from lapstats.corpus import _FAMILY_MEMBERS
 from lapstats.errors import GuardExceeded, InputError
 from lapstats.families import (
+    FAMILIES,
     MAX_EDGES,
+    MAX_OUTPUT_DIGITS,
     MAX_VERTICES,
     FamilySpec,
     closed_form_coefficients,
@@ -94,3 +99,41 @@ def test_cli_guard_exits_3_before_building(capsys, no_graphs, argv):
 def test_closed_form_commands_never_build(capsys, no_graphs, argv):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family, size", [
+    (f, p) for f, p in _FAMILY_MEMBERS if FAMILIES[f].coefficients is not None
+] + [("path", (500,)), ("cycle", (400,)), ("star", (400,)), ("complete", (300,)),
+     ("complete_bipartite", (40, 60)), ("matching_union", (300,))])
+def test_output_digits_bound_the_closed_form(family, size):
+    coeffs = closed_form_coefficients(family, *size)
+    bound = families._output_digits(closed_form_spectrum(family, *size))
+    assert sum(len(str(c)) for c in coeffs) <= bound
+
+
+@pytest.mark.parametrize("family, size, admitted", [
+    ("path", (2000,), True),  # 1.67M digits
+    ("complete", (1500,), True),  # 7.1M; coeffs prints it in test_cli
+    ("complete", (2000,), True),  # 13.2M
+    ("path", (12000,), True),  # 60.2M
+    ("star", (20000,), False),  # 121M
+    ("path", (20000,), False),  # 167M
+    ("matching_union", (20000,), False),  # 382M
+    ("path", (1 << 20,), False),
+])
+def test_output_guard_threshold(family, size, admitted):
+    digits = families._output_digits(closed_form_spectrum(family, *size))
+    assert (digits <= MAX_OUTPUT_DIGITS) == admitted
+
+
+@pytest.mark.parametrize("n", ["20000", str(1 << 20)])
+def test_closed_form_output_guard_exits_3_before_the_formula(capsys, monkeypatch, n):
+    def refuse(*size):
+        raise AssertionError("the formula ran")
+
+    monkeypatch.setitem(FAMILIES, "path", dataclasses.replace(FAMILIES["path"], coefficients=refuse))
+    started = time.perf_counter()
+    assert cli.main(["coeffs", "--family", "path", "--n", n, "--closed-form"]) == 3
+    # the closed-form spectrum of 2^20 vertices is the guard's whole cost
+    assert time.perf_counter() - started < 10.0
+    assert capsys.readouterr().err.startswith("error: closed-form output guard")
