@@ -12,10 +12,13 @@ running entries.
 
 * Bound. Every coefficient of det(xI - A) is an elementary symmetric
   function of the eigenvalues, so |c| <= C(n, k) R^k <= (1 + R)^n, where R,
-  the largest absolute row sum, bounds the spectral radius. R is taken over
-  the whole stack, so it bounds every member's own. Primes are taken until
-  their product M exceeds 2 (1 + R)^n; symmetric residues mod M are then the
-  integers themselves, for any integer matrix in the stack.
+  the largest absolute row sum, bounds the spectral radius. Primes are taken
+  until their product M exceeds twice the bound; symmetric residues mod M
+  are then the integers themselves. The guard and a general matrix use
+  (1 + R)^n. A (signless) Laplacian is positive semi-definite, so the sum of
+  its |c| is prod(1 + lambda_i) <= ((n + tr A) / n)^n by AM-GM, and a stack
+  of them keeps only as many of the guard's primes as the largest trace in
+  the stack needs: 7 of 10 for a 4-regular graph on 128 vertices.
 * Primes. Each prime p exceeds n (so 1..n are invertible mod p) and
   p * max(R, n) < 2^53. A stays unreduced and the running matrix is reduced
   to [0, p), so every partial sum of a product row or of a trace is an
@@ -54,8 +57,8 @@ MATCHING_EDGE_GUARD = 64
 # no dense n x n matrix is built for more vertices; `stats` on a 4096-vertex
 # edge list peaks near 0.29 GB, the float64 matrix and LAPACK's copy of it
 MAX_DENSE_VERTICES = 1 << 12
-# multiply-adds of the exact charpoly, P primes times n^4; a 4-regular graph
-# on 128 vertices needs 10 primes, 2.7e9
+# multiply-adds of the exact charpoly, P primes times n^4; the guard gives a
+# 4-regular graph on 128 vertices 10 primes, 2.7e9
 MAX_CHARPOLY_WORK = 1 << 32
 # largest admitted max(R, n); with primes below 2^44, p * max(R, n) < 2^53
 MAX_CHARPOLY_SCALE = 1 << 9
@@ -124,6 +127,23 @@ def _moduli(n: int, r: int) -> tuple[int, ...]:
     return CHARPOLY_PRIMES[:count]
 
 
+def _spectral_bound(n: int, trace: int) -> int:
+    """ceil(((n + trace) / n)^n), which bounds prod(1 + lambda_i), the sum of
+    the |c| of an n x n positive semi-definite matrix with this trace."""
+    return -(-(n + trace) ** n // n ** n)
+
+
+def _enough(primes: tuple[int, ...], bound: int) -> tuple[int, ...]:
+    """The shortest prefix of ``primes`` whose product exceeds 2 bound; all
+    of them if none does."""
+    modulus = 1
+    for count, p in enumerate(primes, 1):
+        modulus *= p
+        if modulus > 2 * bound:
+            return primes[:count]
+    return primes
+
+
 def charpoly_guard(n: int, max_degree: int) -> None:
     """Refuse the exact charpoly of an n-vertex (signless) Laplacian, whose
     row sums are at most 2 max_degree, past the prime table or work budget."""
@@ -147,7 +167,7 @@ def _reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _faddeev_leverrier(a: np.ndarray, primes: tuple[int, ...]) -> list[list[int]]:
     """det(xI - A) ascending for each matrix of a (B, n, n) float64 stack of
     integer matrices, by the multi-modular recurrence of the module docstring;
-    ``primes`` must cover the stack's largest absolute row sum."""
+    the product of ``primes`` must exceed twice every |coefficient|."""
     b, n, _ = a.shape
     count = len(primes)
     p = np.repeat(np.array(primes, dtype=np.float64), n)
@@ -214,10 +234,11 @@ def charpoly_monic(matrix: list[list[int]] | np.ndarray) -> list[int]:
     return _faddeev_leverrier(a, primes)[0]
 
 
-def _unsigned_coefficients_many(graphs, build: Callable[[Graph], np.ndarray],
-                                label: str) -> list[list[int]]:
+def _unsigned_coefficients_many(graphs, build: Callable[[Graph], np.ndarray], label: str,
+                                matrices=None) -> list[list[int]]:
     """One stacked charpoly per vertex count, in first-seen order; every
-    graph meets the charpoly guard before any matrix is built."""
+    graph meets the charpoly guard before any matrix is built, unless the
+    caller passes them all built as ``matrices``."""
     graphs = list(graphs)
     for g in graphs:
         charpoly_guard(g.n, g.max_degree)
@@ -226,13 +247,16 @@ def _unsigned_coefficients_many(graphs, build: Callable[[Graph], np.ndarray],
         by_order.setdefault(g.n, []).append(i)
     out: list[list[int]] = [[] for _ in graphs]
     for n, members in by_order.items():
-        # both Laplacians have row sums 2 deg(v); each member passed its guard
-        primes = _moduli(n, 2 * max(graphs[i].max_degree for i in members))
+        # both Laplacians have row sums 2 deg(v) and trace 2 |E|; the guard's
+        # primes cover the first, and the AM-GM bound keeps a prefix of them
+        primes = _enough(_moduli(n, 2 * max(graphs[i].max_degree for i in members)),
+                         _spectral_bound(n, 2 * max(graphs[i].edge_count for i in members)))
         # members per stack, so that the running array stays within budget
         size = max(1, MAX_STACK_ENTRIES // (len(primes) * n * n or 1))
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
-            stack = np.stack([build(graphs[i]) for i in chunk])
+            stack = np.stack([build(graphs[i]) if matrices is None else matrices[i]
+                              for i in chunk])
             for i, poly in zip(chunk, _faddeev_leverrier(stack, primes)):
                 for k in range(n + 1):
                     value = poly[k] if (n - k) % 2 == 0 else -poly[k]
@@ -242,9 +266,11 @@ def _unsigned_coefficients_many(graphs, build: Callable[[Graph], np.ndarray],
     return out
 
 
-def laplacian_coefficients_many(graphs) -> list[list[int]]:
-    """c(G, k) for k = 0..n for each graph, exact, in input order."""
-    return _unsigned_coefficients_many(graphs, laplacian_matrix, "Laplacian")
+def laplacian_coefficients_many(graphs, matrices=None) -> list[list[int]]:
+    """c(G, k) for k = 0..n for each graph, exact, in input order.
+    ``matrices``, if given, are the graphs' Laplacians in the same order,
+    which are then stacked as they are rather than built again."""
+    return _unsigned_coefficients_many(graphs, laplacian_matrix, "Laplacian", matrices)
 
 
 def signless_coefficients_many(graphs) -> list[list[int]]:

@@ -117,6 +117,33 @@ def test_stack_takes_primes_for_its_largest_row_sum():
     assert got[1] == laplacian_coefficients(graphs[1])
 
 
+def test_laplacian_stacks_take_primes_from_the_am_gm_bound(monkeypatch):
+    # 4-regular: the guard's (1 + 8)^n against the trace's (1 + 4)^n
+    assert len(exact._moduli(128, 8)) == 10
+    assert len(exact._enough(exact._moduli(128, 8), exact._spectral_bound(128, 512))) == 7
+    counts = []
+    real = exact._faddeev_leverrier
+
+    def counted(a, primes):
+        counts.append(len(primes))
+        return real(a, primes)
+
+    monkeypatch.setattr(exact, "_faddeev_leverrier", counted)
+    g = random_regular(64, 4, 11)
+    got = laplacian_coefficients(g)
+    assert counts == [4] and len(exact._moduli(64, 8)) == 5
+    # the single-matrix route takes all five of the guard's primes
+    assert got == [abs(c) for c in charpoly_monic(laplacian_matrix(g))]
+
+
+def test_spectral_bound_covers_every_corpus_vector():
+    assert exact._spectral_bound(3, 1) == 3  # ceil(64 / 27)
+    assert exact._spectral_bound(0, 0) == 1
+    graphs = [g for _, g in corpus_graphs()]
+    for g, coeffs in zip(graphs, laplacian_coefficients_many(graphs)):
+        assert sum(coeffs) <= exact._spectral_bound(g.n, 2 * g.edge_count)
+
+
 def test_stack_split_by_entry_budget(monkeypatch):
     graphs = [g for _, g in corpus_graphs()]
     want = laplacian_coefficients_many(graphs)
