@@ -368,9 +368,10 @@ def matching_counts(g: Graph) -> list[int]:
     return list(raw) + [0] * (length - len(raw))
 
 
-def _bareiss_determinant(a: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination with row pivoting, in
-    place."""
+def _tree_count(laplacian: np.ndarray) -> int:
+    """Exact determinant of the principal minor that drops vertex 0, by
+    fraction-free (Bareiss) elimination with row pivoting."""
+    a = laplacian[1:, 1:].astype(int).tolist()
     n = len(a)
     if n == 0:
         return 1
@@ -403,7 +404,7 @@ def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees: determinant of a principal Laplacian minor."""
     if g.n < 1:
         raise InputError("spanning_tree_count needs at least one vertex")
-    return _bareiss_determinant(laplacian_matrix(g)[1:, 1:].astype(int).tolist())
+    return _tree_count(laplacian_matrix(g))
 
 
 def coefficients_from_eigenvalues(values) -> list:

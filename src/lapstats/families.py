@@ -18,6 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import exact, spectra
 from .errors import GuardExceeded, InputError
 from .graphs import MAX_EDGES, MAX_VERTICES, Graph, cone, empty_graph, join
@@ -135,8 +137,10 @@ def _regular_rule(n: int, d: int) -> str | None:
 # trigonometric values for paths, cycles and wheels) and coefficients
 
 
-def _cycle_spectrum(n: int) -> Spectrum:
-    return Spectrum.from_values((4.0 * math.sin(j * math.pi / n) ** 2 for j in range(n)))
+def _sine_spectrum(n: int, m: int) -> Spectrum:
+    """4 sin^2(j pi / m), j < n: m = 2n for the path, n for the cycle. Squared by libm
+    pow, as Python's ``** 2`` is; numpy's ``** 2`` is x * x, an ulp off on some values."""
+    return Spectrum.from_values(4.0 * np.float_power(np.sin(np.arange(n) * math.pi / m), 2))
 
 
 def _star_eigenvalues(n: int) -> list[int]:
@@ -199,8 +203,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda n: n,
         edges=lambda n: n - 1,
         max_degree=lambda n: min(n - 1, 2),
-        spectrum=lambda n: Spectrum.from_values(
-            4.0 * math.sin(j * math.pi / (2 * n)) ** 2 for j in range(n)),
+        spectrum=lambda n: _sine_spectrum(n, 2 * n),
         coefficients=lambda n: _ratio_coefficients(n, n, lambda k: 2 * k * (2 * k + 1)),
         limits=(1.0 / (2.0 * _SQRT5), 1.0 / (5.0 * _SQRT5)),
     ),
@@ -210,7 +213,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda n: n,
         edges=lambda n: n,
         max_degree=lambda n: 2,
-        spectrum=_cycle_spectrum,
+        spectrum=lambda n: _sine_spectrum(n, n),
         coefficients=lambda n: _ratio_coefficients(n, n * n, lambda k: (2 * k + 1) * (2 * k + 2)),
         limits=(1.0 / _SQRT5, 2.0 / (5.0 * _SQRT5)),
     ),
@@ -273,7 +276,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda n: n + 1,
         edges=lambda n: 2 * n,
         max_degree=lambda n: n,
-        spectrum=lambda n: spectra.cone_spectrum(_cycle_spectrum(n), n),
+        spectrum=lambda n: spectra.cone_spectrum(_sine_spectrum(n, n), n),
     ),
     "complete_binary_tree": Family(
         minimum=(0,),

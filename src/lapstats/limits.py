@@ -6,7 +6,8 @@ Exact integer coefficients normalize by exact integer division, so each
 probability is correctly rounded and vectors with tens of thousands of bits
 do not overflow. Probabilities from a spectrum are the Poisson-binomial law
 of the eigenvalues, multiplied out by a balanced product tree of its linear
-factors with FFT products.
+factors with FFT products, and stay one float64 array through the distances,
+which return Python floats bit-identical to a per-k loop.
 """
 
 from __future__ import annotations
@@ -35,16 +36,22 @@ class LimitStats:
         return math.sqrt(self.sigma2)
 
 
+def _eigenvalues(s: Spectrum) -> np.ndarray:
+    """The spectrum as a float64 array, refused at its first negative value."""
+    lam = np.array(s.values, dtype=float)
+    if lam.size and lam.min() < 0.0:
+        raise InputError(f"negative eigenvalue {float(lam[lam < 0.0][0])!r}")
+    return lam
+
+
 def mean_variance(s: Spectrum) -> LimitStats:
     """mu = sum 1/(1 + lam), sigma2 = sum lam/(1 + lam)^2 over the spectrum.
 
     Compensated summation keeps the result independent of summation order.
     """
-    for v in s.values:
-        if v < 0.0:
-            raise InputError(f"negative eigenvalue {v!r}")
-    mu = math.fsum(1.0 / (1.0 + v) for v in s.values)
-    sigma2 = math.fsum(v / ((1.0 + v) * (1.0 + v)) for v in s.values)
+    lam = _eigenvalues(s)
+    mu = math.fsum((1.0 / (1.0 + lam)).tolist())
+    sigma2 = math.fsum((lam / ((1.0 + lam) * (1.0 + lam))).tolist())
     return LimitStats(mu=mu, sigma2=sigma2, n=len(s))
 
 
@@ -65,9 +72,9 @@ def normalized_probabilities(coeffs) -> list[float]:
     return [c / total for c in coeffs]
 
 
-def probabilities_from_spectrum(s: Spectrum) -> list[float]:
+def probabilities_from_spectrum(s: Spectrum) -> np.ndarray:
     """Normalized coefficient distribution of prod(x + lam), multiplied out
-    straight from the eigenvalues.
+    straight from the eigenvalues, as a float64 array of length n + 1.
 
     Dividing by prod(1 + lam) gives prod(q_i + p_i x) with p_i = 1/(1 + lam_i),
     so this is the Poisson-binomial law of the normalized coefficients
@@ -81,11 +88,9 @@ def probabilities_from_spectrum(s: Spectrum) -> list[float]:
     ``diagnostics`` takes for every spectrum, closed-form or numeric; exact
     integers stay in ``coeffs`` and ``verify``.
     """
-    lam = np.array(s.values, dtype=float)
+    lam = _eigenvalues(s)
     if lam.size == 0:
-        return [1.0]  # the empty product
-    if lam.min() < 0.0:
-        raise InputError(f"negative eigenvalue {float(lam.min())!r}")
+        return np.ones(1)  # the empty product
     p = 1.0 / (1.0 + lam)
     rows = np.stack((lam * p, p), axis=1)  # row i holds q_i + p_i x
     while len(rows) > 1:
@@ -101,15 +106,13 @@ def probabilities_from_spectrum(s: Spectrum) -> list[float]:
         wrapped[:, 0] -= top
         rows = np.column_stack((wrapped, top))
     probs = np.clip(rows[0, :lam.size + 1], 0.0, None)
-    return (probs / probs.sum()).tolist()
+    return probs / probs.sum()
 
 
-def _gauss_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def _gauss_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+# math.erfc and math.exp elementwise: numpy has no erfc, and its exp is not
+# bit-identical to libm's
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 def clt_distance(probs, stats: LimitStats) -> float:
@@ -121,15 +124,11 @@ def clt_distance(probs, stats: LimitStats) -> float:
     """
     if stats.sigma2 <= 0.0:
         raise InputError("degenerate variance")
-    sigma = stats.sigma
-    worst = 0.0
-    cdf = 0.0
-    for k, pk in enumerate(probs):
-        before = cdf
-        cdf += pk
-        gauss = _gauss_cdf((k - stats.mu) / sigma)
-        worst = max(worst, abs(cdf - gauss), abs(before - gauss))
-    return worst
+    cdf = np.cumsum(np.concatenate(([0.0], probs)))  # cdf[k] sums p[:k] in k order
+    z = (np.arange(len(probs), dtype=float) - stats.mu) / stats.sigma
+    gauss = 0.5 * _erfc(-z / math.sqrt(2.0)).astype(float)
+    gaps = np.maximum(np.abs(cdf[1:] - gauss), np.abs(cdf[:-1] - gauss))
+    return float(np.max(gaps, initial=0.0))
 
 
 def llt_distance(probs, stats: LimitStats) -> float:
@@ -145,37 +144,34 @@ def llt_distance(probs, stats: LimitStats) -> float:
         raise InputError("degenerate variance")
     sigma = stats.sigma
     n = len(probs) - 1
-    worst = 0.0
-    for k in range(n + 2):
-        x = (k - stats.mu) / sigma
-        density = _gauss_pdf(x)
-        at_k = probs[k] if k <= n else 0.0
-        left_of_k = probs[k - 1] if k >= 1 else 0.0
-        worst = max(worst, abs(sigma * at_k - density), abs(sigma * left_of_k - density))
+    padded = np.concatenate(([0.0], probs, [0.0]))  # p[k-1] and p[k] for k = 0..n+1
+    x = (np.arange(n + 2, dtype=float) - stats.mu) / sigma
+    density = _exp(-0.5 * x * x).astype(float) / math.sqrt(2.0 * math.pi)
+    worst = float(np.max(np.maximum(np.abs(sigma * padded[1:] - density),
+                                    np.abs(sigma * padded[:-1] - density))))
     mode_cell = math.floor(stats.mu)
     if 0 <= mode_cell <= n:
-        worst = max(worst, abs(sigma * probs[mode_cell] - _gauss_pdf(0.0)))
+        worst = max(worst, abs(sigma * float(probs[mode_cell]) - 1.0 / math.sqrt(2.0 * math.pi)))
     return worst
 
 
-def poisson_reference(mean: float, k_shift: int, length: int) -> list[float]:
+def poisson_reference(mean: float, k_shift: int, length: int) -> np.ndarray:
     """Shifted Poisson reference r[k] = exp(-mean) mean^(k-shift)/(k-shift)!
-    for k >= shift, else 0."""
+    for k >= shift, else 0, each term the one before times mean/(k-shift)."""
     if mean <= 0.0:
         raise InputError("mean must be positive")
     if k_shift < 0:
         raise InputError("k_shift must be nonnegative")
-    ref = [0.0] * length
-    term = math.exp(-mean)
-    for k in range(k_shift, length):
-        ref[k] = term
-        term *= mean / (k - k_shift + 1)
+    ref = np.zeros(length)
+    if k_shift < length:
+        ratios = mean / np.arange(1, length - k_shift, dtype=float)
+        ref[k_shift:] = np.cumprod(np.concatenate(([math.exp(-mean)], ratios)))
     return ref
 
 
 def poisson_distance(probs, mean: float, k_shift: int) -> float:
     ref = poisson_reference(mean, k_shift, len(probs))
-    return max(abs(p - r) for p, r in zip(probs, ref))
+    return float(np.max(np.abs(np.asarray(probs, dtype=float) - ref)))
 
 
 def variance_lower_bound(g: Graph) -> float:

@@ -38,7 +38,9 @@ class Spectrum:
 
     @classmethod
     def from_values(cls, values, exact: bool = False) -> Spectrum:
-        return cls(tuple(sorted((float(v) for v in values), reverse=True)), exact)
+        # a stable sort keeps ties (0.0 and -0.0) in sorted(reverse=True)'s order
+        a = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+        return cls(tuple(a[np.argsort(-a, kind="stable")].tolist()), exact)
 
 
 def numeric_spectrum(matrix) -> Spectrum:
@@ -66,15 +68,14 @@ def numeric_spectrum(matrix) -> Spectrum:
     if not residual <= TRACE_TOL * max(1.0, abs(trace)):
         raise ConvergenceError(f"eigenvalue sum misses the trace by {residual:.3e}")
     snap = 10.0 * SNAP_TOL * float(np.linalg.norm(a))
-    return Spectrum.from_values(0.0 if -snap < v < 0.0 else v for v in values)
+    return Spectrum.from_values(np.where((-snap < values) & (values < 0.0), 0.0, values))
 
 
-def _drop_one_zero(s: Spectrum, what: str) -> list[float]:
-    values = list(s.values)
-    smallest = values[-1]
+def _drop_one_zero(s: Spectrum, what: str) -> np.ndarray:
+    smallest = s.values[-1]
     if abs(smallest) > ZERO_MATCH_TOL:
         raise InputError(f"{what} spectrum has no zero eigenvalue (smallest {smallest!r})")
-    return values[:-1]
+    return np.array(s.values[:-1], dtype=float)
 
 
 def join_spectrum(s1: Spectrum, n1: int, s2: Spectrum, n2: int) -> Spectrum:
@@ -88,11 +89,8 @@ def join_spectrum(s1: Spectrum, n1: int, s2: Spectrum, n2: int) -> Spectrum:
         raise InputError("spectrum length must equal the stated vertex count")
     if n1 < 1 or n2 < 1:
         raise InputError("join needs nonempty parts")
-    rest1 = _drop_one_zero(s1, "first")
-    rest2 = _drop_one_zero(s2, "second")
-    values = [0.0, float(n1 + n2)]
-    values.extend(n2 + v for v in rest1)
-    values.extend(n1 + v for v in rest2)
+    values = np.concatenate(([0.0, float(n1 + n2)], n2 + _drop_one_zero(s1, "first"),
+                             n1 + _drop_one_zero(s2, "second")))
     return Spectrum.from_values(values, exact=s1.exact and s2.exact)
 
 

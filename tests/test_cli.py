@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from lapstats import cli
+from lapstats import cli, serialize
 from lapstats.errors import GuardExceeded
+from test_limits import reference_row
 
 
 def run_cli(capsys, *args):
@@ -280,3 +281,23 @@ def test_exact_stdout_is_pinned(capsys, tmp_path, argv, digest):
     code, out, _ = run_cli(capsys, *(str(path5) if a == "PATH5" else a for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# stdout of the array route against rows rebuilt by the former per-k loops:
+# a route change that moves one bit of a distance or a moment fails here
+REFERENCE_STDOUT = [
+    (["diagnose", "--family", "path", "--n", "3000"],
+     lambda: serialize.rows_json([reference_row("path", (3000,))])),
+    (["diagnose", "--family", "complete_bipartite", "--n", "500,500"],
+     lambda: serialize.rows_json([reference_row("complete_bipartite", (500, 500))])),
+    (["sweep", "--family", "wheel", "--ladder", "1000,4000,10000", "--format", "csv"],
+     lambda: serialize.rows_csv([reference_row("wheel", (n,)) for n in (1000, 4000, 10000)])),
+]
+
+
+@pytest.mark.parametrize("argv, expected", REFERENCE_STDOUT,
+                         ids=[" ".join(a) for a, _ in REFERENCE_STDOUT])
+def test_stdout_equals_reference_loops(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected()

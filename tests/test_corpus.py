@@ -3,6 +3,7 @@ import numpy as np
 from lapstats import exact
 from lapstats.corpus import (
     _check_cone_transform,
+    _check_exact_identities,
     _cone_laplacian,
     _corpus,
     corpus_graphs,
@@ -48,6 +49,9 @@ def test_corpus_builds_each_laplacian_once(monkeypatch):
     assert _check_cone_transform(corpus).ok
     # only the three cycles that are not corpus graphs
     assert [g.n for g in built] == [15, 25, 40]
+    built.clear()
+    assert _check_exact_identities(corpus).ok
+    assert built == []  # spanning tree minors come from the bundles' Laplacians
 
 
 def test_cone_laplacian_is_the_built_one():

@@ -1,10 +1,14 @@
+import dataclasses
+
 import pytest
 
+from lapstats import serialize
 from lapstats.corpus import REGULAR_SEEDS, REGULAR_SHAPES, corpus_trees
 from lapstats.diagnostics import (
     VERDICT_NORMAL,
     VERDICT_POISSON,
     VERDICT_UNKNOWN,
+    DiagnosticsRow,
     diagnose_family,
     diagnose_graph,
     run_sweep,
@@ -12,6 +16,7 @@ from lapstats.diagnostics import (
 from lapstats.errors import InputError
 from lapstats.exact import laplacian_coefficients, laplacian_matrix
 from lapstats.families import (
+    FAMILIES,
     closed_form_coefficients,
     closed_form_spectrum,
     random_regular,
@@ -25,7 +30,7 @@ from lapstats.limits import (
     mean_variance,
     normalized_probabilities,
 )
-from lapstats.spectra import numeric_spectrum
+from lapstats.spectra import cone_spectrum, numeric_spectrum
 
 
 class TestDiagnose:
@@ -131,3 +136,39 @@ class TestExactRouteOracle:
         row = diagnose_family(family, size)
         stats = mean_variance(closed_form_spectrum(family, *size))
         self._assert_close(row, closed_form_coefficients(family, *size), stats)
+
+
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(DiagnosticsRow) if "float" in str(f.type)]
+
+
+class TestPythonFloatsOnly:
+    """Under numpy 2, repr(np.float64(0.1)) is 'np.float64(0.1)', and the
+    CSV encoder writes floats by repr: no numpy scalar may reach a row or a
+    spectrum."""
+
+    def _rows(self):
+        g = random_regular(30, 4, seed=3)
+        return [diagnose_family("complete", 50), diagnose_family("complete_bipartite", (25, 25)),
+                diagnose_family("path", 100), diagnose_family("wheel", 30),
+                diagnose_family("hypercube", 5), diagnose_graph(g),
+                diagnose_graph(random_tree(40, seed=2))]
+
+    def test_row_float_fields(self):
+        assert {"mu", "clt_distance", "poisson_distance", "mu_per_vertex_err"} <= set(_FLOAT_FIELDS)
+        rows = self._rows()
+        for row in rows:
+            for name in _FLOAT_FIELDS:
+                value = getattr(row, name)
+                assert value is None or type(value) is float, (row.family, name)
+        # every optional field is set on some row
+        assert all(any(getattr(r, name) is not None for r in rows) for name in _FLOAT_FIELDS)
+        assert "np." not in serialize.rows_csv(rows) + serialize.rows_json(rows)
+
+    def test_spectrum_values(self):
+        spectra = [closed_form_spectrum(name, *[4] * record.arity)
+                   for name, record in FAMILIES.items() if record.spectrum is not None]
+        g = random_regular(30, 4, seed=3)
+        spectra += [numeric_spectrum(laplacian_matrix(g)), cone_spectrum(spectra[0], 4)]
+        for s in spectra:
+            assert type(s.values) is tuple and all(type(v) is float for v in s.values)
+            assert "np." not in serialize.spectrum_csv(s) + serialize.spectrum_json(s, 0.0)

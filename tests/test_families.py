@@ -269,3 +269,24 @@ def test_closed_form_csv_bytes_pinned(capsys, family, n):
                      "--format", "csv"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == _PINNED_CSV[family, n]
+
+
+def _sine_generator(n, m):
+    """The former per-j closed form: Python floats, squared by ``** 2``."""
+    return tuple(sorted((4.0 * math.sin(j * math.pi / m) ** 2 for j in range(n)), reverse=True))
+
+
+_SINE_SIZES = sorted(set(range(3, 200)) | {
+    (1 << k) + d for k in range(8, 17) for d in (-1, 0, 1) if (1 << k) + d <= 1 << 16})
+
+
+def test_sine_spectra_equal_the_generator():
+    # path, cycle and (through the cone) wheel eigenvalues, bit for bit
+    assert closed_form_spectrum("path", 1).values == _sine_generator(1, 2)
+    assert closed_form_spectrum("path", 2).values == _sine_generator(2, 4)
+    for n in _SINE_SIZES:
+        assert closed_form_spectrum("path", n).values == _sine_generator(n, 2 * n)
+        cycle = _sine_generator(n, n)
+        assert closed_form_spectrum("cycle", n).values == cycle
+        wheel = sorted([0.0, n + 1.0] + [1 + v for v in cycle[:-1]], reverse=True)
+        assert closed_form_spectrum("wheel", n).values == tuple(wheel)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -8,6 +9,7 @@ import pytest
 
 from lapstats import cli
 from lapstats.corpus import _FAMILY_MEMBERS, corpus_graphs
+from lapstats.diagnostics import DiagnosticsRow, diagnose_family
 from lapstats.errors import InputError
 from lapstats.exact import laplacian_coefficients, laplacian_matrix
 from lapstats.families import (
@@ -184,7 +186,7 @@ class TestProductTree:
         for s in spectra():
             probs = probabilities_from_spectrum(s)
             assert len(probs) == len(s) + 1
-            assert all(type(p) is float and p >= 0.0 for p in probs)
+            assert probs.dtype == np.float64 and bool(np.all(probs >= 0.0))
             assert math.fsum(probs) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_eigenvalues_leave_no_low_mass(self):
@@ -203,8 +205,8 @@ class TestProductTree:
         assert tree <= _max_gap(_log_domain_probabilities(s.values), exact_probs)
 
     def test_edge_cases(self):
-        assert probabilities_from_spectrum(Spectrum(())) == [1.0]
-        assert probabilities_from_spectrum(Spectrum((0.0,))) == [0.0, 1.0]
+        assert probabilities_from_spectrum(Spectrum(())).tolist() == [1.0]
+        assert probabilities_from_spectrum(Spectrum((0.0,))).tolist() == [0.0, 1.0]
         with pytest.raises(InputError):
             probabilities_from_spectrum(Spectrum((3.0, 1.0, -1e-3)))
 
@@ -386,3 +388,163 @@ def test_moment_consistency_links_both_routes():
         var = math.fsum((k - mean) ** 2 * p for k, p in enumerate(probs))
         assert mean == pytest.approx(stats.mu, abs=1e-8)
         assert var == pytest.approx(stats.sigma2, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# The former per-k loops of mean_variance, clt_distance, llt_distance and
+# poisson_reference, kept as the reference: the array route must equal them
+# bit for bit, so no output byte moves.
+
+
+def reference_mean_variance(values) -> tuple[float, float]:
+    for v in values:
+        if v < 0.0:
+            raise InputError(f"negative eigenvalue {v!r}")
+    mu = math.fsum(1.0 / (1.0 + v) for v in values)
+    sigma2 = math.fsum(v / ((1.0 + v) * (1.0 + v)) for v in values)
+    return mu, sigma2
+
+
+def _gauss_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _gauss_pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def reference_clt_distance(probs, stats: LimitStats) -> float:
+    sigma = stats.sigma
+    worst = 0.0
+    cdf = 0.0
+    for k, pk in enumerate(probs):
+        before = cdf
+        cdf += pk
+        gauss = _gauss_cdf((k - stats.mu) / sigma)
+        worst = max(worst, abs(cdf - gauss), abs(before - gauss))
+    return worst
+
+
+def reference_llt_distance(probs, stats: LimitStats) -> float:
+    sigma = stats.sigma
+    n = len(probs) - 1
+    worst = 0.0
+    for k in range(n + 2):
+        x = (k - stats.mu) / sigma
+        density = _gauss_pdf(x)
+        at_k = probs[k] if k <= n else 0.0
+        left_of_k = probs[k - 1] if k >= 1 else 0.0
+        worst = max(worst, abs(sigma * at_k - density), abs(sigma * left_of_k - density))
+    mode_cell = math.floor(stats.mu)
+    if 0 <= mode_cell <= n:
+        worst = max(worst, abs(sigma * probs[mode_cell] - _gauss_pdf(0.0)))
+    return worst
+
+
+def reference_poisson_reference(mean: float, k_shift: int, length: int) -> list[float]:
+    ref = [0.0] * length
+    term = math.exp(-mean)
+    for k in range(k_shift, length):
+        ref[k] = term
+        term *= mean / (k - k_shift + 1)
+    return ref
+
+
+def reference_poisson_distance(probs, mean: float, k_shift: int) -> float:
+    ref = reference_poisson_reference(mean, k_shift, len(probs))
+    return max(abs(p - r) for p, r in zip(probs, ref))
+
+
+def reference_row(family: str, params: tuple[int, ...]) -> DiagnosticsRow:
+    """``diagnose_family``'s row with every statistic recomputed by the
+    reference loops, from the same spectrum and probability vector."""
+    row = diagnose_family(family, params)
+    record = family_record(family)
+    s = closed_form_spectrum(family, *params)
+    mu, sigma2 = reference_mean_variance(s.values)
+    stats = LimitStats(mu=mu, sigma2=sigma2, n=len(s))
+    probs = probabilities_from_spectrum(s).tolist()
+    fields = {"mu": mu, "sigma2": sigma2,
+              "clt_distance": reference_clt_distance(probs, stats),
+              "llt_distance": reference_llt_distance(probs, stats)}
+    if record.poisson is not None and record.poisson(*params) is not None:
+        fields["poisson_distance"] = reference_poisson_distance(probs, *record.poisson(*params))
+    if record.limits is not None:
+        mu_c, s2_c = record.limits
+        fields["mu_per_vertex_err"] = abs(mu / row.n - mu_c)
+        fields["sigma2_per_vertex_err"] = abs(sigma2 / row.n - s2_c)
+    return dataclasses.replace(row, **fields)
+
+
+REFERENCE_MEMBERS = [
+    ("path", (3000,)), ("star", (3000,)), ("complete", (2000,)),
+    ("complete_bipartite", (500, 500)), ("wheel", (1000,)), ("wheel", (4000,)),
+    ("wheel", (10000,)), ("hypercube", (12,))]
+
+
+class TestReferenceLoops:
+    @pytest.mark.parametrize("family, params", REFERENCE_MEMBERS,
+                             ids=[f"{f}-{p}" for f, p in REFERENCE_MEMBERS])
+    def test_array_route_equals_reference(self, family, params):
+        s = closed_form_spectrum(family, *params)
+        stats = mean_variance(s)
+        assert (stats.mu, stats.sigma2) == reference_mean_variance(s.values)
+        probs = probabilities_from_spectrum(s)
+        as_list = probs.tolist()
+        for given in (probs, as_list):
+            assert clt_distance(given, stats) == reference_clt_distance(as_list, stats)
+            assert llt_distance(given, stats) == reference_llt_distance(as_list, stats)
+            for mean, shift in ((1.0, 1), (2.0, 1), (2.5, 4)):
+                assert (poisson_distance(given, mean, shift)
+                        == reference_poisson_distance(as_list, mean, shift))
+        assert diagnose_family(family, params) == reference_row(family, params)
+
+    @pytest.mark.parametrize("family, params", [
+        ("path", (3000,)), ("star", (3000,)), ("complete", (2000,)),
+        ("complete_bipartite", (500, 500))])
+    def test_exact_probability_lists(self, family, params):
+        # verify passes the list that normalized_probabilities returns
+        probs = normalized_probabilities(closed_form_coefficients(family, *params))
+        stats = mean_variance(closed_form_spectrum(family, *params))
+        assert clt_distance(probs, stats) == reference_clt_distance(probs, stats)
+        assert llt_distance(probs, stats) == reference_llt_distance(probs, stats)
+        assert poisson_distance(probs, 1.0, 1) == reference_poisson_distance(probs, 1.0, 1)
+
+    @pytest.mark.parametrize("values", [(), (0.0,), (2.0,), (7.5,)])
+    def test_empty_and_single_eigenvalue_spectra(self, values):
+        s = Spectrum(values)
+        stats = mean_variance(s)
+        assert (stats.mu, stats.sigma2) == reference_mean_variance(values)
+        probs = probabilities_from_spectrum(s).tolist()
+        if stats.sigma2 > 0.0:
+            assert clt_distance(probs, stats) == reference_clt_distance(probs, stats)
+            assert llt_distance(probs, stats) == reference_llt_distance(probs, stats)
+
+    def test_empty_probability_vector(self):
+        stats = LimitStats(mu=0.3, sigma2=0.5, n=0)
+        assert clt_distance([], stats) == reference_clt_distance([], stats) == 0.0
+        assert llt_distance([], stats) == reference_llt_distance([], stats)
+
+    def test_first_negative_eigenvalue_is_named(self):
+        values = (1.0, -0.5, -2.0)
+        with pytest.raises(InputError) as want:
+            reference_mean_variance(values)
+        with pytest.raises(InputError) as got:
+            mean_variance(Spectrum(values))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("length, shift", [(5, 5), (5, 9), (0, 0), (0, 3), (1, 0),
+                                               (2, 1), (6, 0), (40, 3)])
+    def test_poisson_reference_past_the_end(self, length, shift):
+        for mean in (0.5, 1.0, 2.0, 17.25):
+            got = poisson_reference(mean, shift, length)
+            assert got.tolist() == reference_poisson_reference(mean, shift, length)
+
+    @pytest.mark.parametrize("mu", [-0.5, 0.0, 0.4, 1.7, 2.0, 2.9, 3.2])
+    def test_mode_cell_at_both_ends(self, mu):
+        # floor(mu) = 0 and floor(mu) = n take the mode term; -1 and n + 1 do not
+        probs = [0.5, 0.3, 0.2]
+        for sigma2 in (0.04, 0.6, 3.0):
+            stats = LimitStats(mu=mu, sigma2=sigma2, n=2)
+            assert llt_distance(probs, stats) == reference_llt_distance(probs, stats)
+            assert clt_distance(probs, stats) == reference_clt_distance(probs, stats)

@@ -10,6 +10,7 @@ from lapstats.exact import coefficients_from_eigenvalues, laplacian_coefficients
 from lapstats.families import FamilySpec, closed_form_spectrum, make_family, random_regular
 from lapstats.graphs import cone, empty_graph
 from lapstats.spectra import (
+    SNAP_TOL,
     Spectrum,
     anderson_morley_bound,
     cone_spectrum,
@@ -79,6 +80,37 @@ class TestNumericSolver:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real(a) + 1e-6)
         with pytest.raises(ConvergenceError, match="trace"):
             lap_spectrum(fam("path", 5))
+
+    def test_snap_matches_per_value_rule(self, monkeypatch):
+        # -0.0 stays, tiny negatives become 0.0, larger ones and positives stay
+        raw = np.array([-1e-3, -1e-13, -0.0, 0.0, 1e-13, 2.0 - 1e-3, 2.0])
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: raw)
+        a = np.diag([0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0 - 2e-3])  # trace = sum(raw)
+        snap = 10.0 * SNAP_TOL * float(np.linalg.norm(a))
+        want = sorted((0.0 if -snap < v < 0.0 else v for v in raw.tolist()), reverse=True)
+        got = numeric_spectrum(a).values
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+class TestFromValues:
+    def test_ties_keep_sorted_order(self):
+        # 0.0 and -0.0 compare equal: both orders must match sorted()'s
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            values = rng.choice([0.0, -0.0, 1.5, 2.0, -1e-300, 3.0], size=30).tolist()
+            got = Spectrum.from_values(values).values
+            want = sorted(values, reverse=True)
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+
+    @pytest.mark.parametrize("values", [
+        [3, 0, 3, 1], (2.5, -0.0, 0.0), np.array([0.0, 7.0, -0.0]),
+        np.array([2, 0, 2], dtype=np.int64), []])
+    def test_any_iterable_gives_a_tuple_of_floats(self, values):
+        want = sorted((float(v) for v in values), reverse=True)
+        for given in (values, iter(values)):
+            got = Spectrum.from_values(given).values
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
 class TestLargeNumeric:
