@@ -284,7 +284,7 @@ def _check_bounds(corpus: _Corpus) -> CheckResult:
 def _check_reconstruction(corpus: _Corpus) -> CheckResult:
     name = "coefficient reconstruction from spectrum"
     for b in corpus.bundles:
-        approx = exact.coefficients_from_eigenvalues(b.spectrum.values)
+        approx = exact.coefficients_from_eigenvalues(b.spectrum.values.tolist())
         top = float(max(b.coeffs))
         for k, c in enumerate(b.coeffs):
             # structurally zero coefficients only see the near-zero

@@ -140,7 +140,7 @@ def _regular_rule(n: int, d: int) -> str | None:
 def _sine_spectrum(n: int, m: int) -> Spectrum:
     """4 sin^2(j pi / m), j < n: m = 2n for the path, n for the cycle. Squared by libm
     pow, as Python's ``** 2`` is; numpy's ``** 2`` is x * x, an ulp off on some values."""
-    return Spectrum.from_values(4.0 * np.float_power(np.sin(np.arange(n) * math.pi / m), 2))
+    return Spectrum(4.0 * np.float_power(np.sin(np.arange(n) * math.pi / m), 2))
 
 
 def _star_eigenvalues(n: int) -> list[int]:
@@ -223,7 +223,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda n: n,
         edges=lambda n: n - 1,
         max_degree=lambda n: n - 1,
-        spectrum=lambda n: Spectrum.from_values(_star_eigenvalues(n), exact=True),
+        spectrum=lambda n: Spectrum(_star_eigenvalues(n), exact=True),
         coefficients=lambda n: _spectrum_coefficients(_star_eigenvalues(n)),
     ),
     "complete": Family(
@@ -232,7 +232,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda n: n,
         edges=lambda n: n * (n - 1) // 2,
         max_degree=lambda n: n - 1,
-        spectrum=lambda n: Spectrum.from_values([0] + [n] * (n - 1), exact=True),
+        spectrum=lambda n: Spectrum([0] + [n] * (n - 1), exact=True),
         coefficients=lambda n: _spectrum_coefficients([0] + [n] * (n - 1)),
         regime="poisson",
         poisson=lambda n: (1.0, 1),
@@ -243,7 +243,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda m, n: m + n,
         edges=lambda m, n: m * n,
         max_degree=max,
-        spectrum=lambda m, n: Spectrum.from_values(_bipartite_eigenvalues(m, n), exact=True),
+        spectrum=lambda m, n: Spectrum(_bipartite_eigenvalues(m, n), exact=True),
         coefficients=lambda m, n: _spectrum_coefficients(_bipartite_eigenvalues(m, n)),
         regime="poisson",
         poisson=lambda m, n: (2.0, 1) if m == n else None,
@@ -256,9 +256,9 @@ FAMILIES: dict[str, Family] = {
         order=lambda d: 1 << d,
         edges=lambda d: d * (1 << d) // 2,
         max_degree=lambda d: d,
-        # each vertex's bit count k gives one eigenvalue 2k
-        spectrum=lambda d: Spectrum.from_values(
-            (2 * v.bit_count() for v in range(1 << d)), exact=True),
+        # eigenvalue 2k once for each of the C(d, k) vertices of bit count k
+        spectrum=lambda d: Spectrum(np.repeat(
+            np.arange(2 * d, -1, -2.0), [math.comb(d, k) for k in range(d, -1, -1)]), exact=True),
     ),
     "matching_union": Family(
         minimum=(1,),
@@ -267,7 +267,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda copies: 2 * copies,
         edges=lambda copies: copies,
         max_degree=lambda copies: 1,
-        spectrum=lambda copies: Spectrum.from_values([0] * copies + [2] * copies, exact=True),
+        spectrum=lambda copies: Spectrum([0] * copies + [2] * copies, exact=True),
         coefficients=lambda copies: _spectrum_coefficients([0] * copies + [2] * copies),
     ),
     "wheel": Family(

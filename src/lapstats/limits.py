@@ -4,8 +4,9 @@ diagnose normal versus Poisson limiting behavior.
 
 Exact integer coefficients normalize by exact integer division, so each
 probability is correctly rounded and vectors with tens of thousands of bits
-do not overflow. Probabilities from a spectrum are the Poisson-binomial law
-of the eigenvalues, multiplied out by a balanced product tree of its linear
+do not overflow. The spectrum's moments and probabilities read its read-only
+float64 array as it is, with no copy. The probabilities are the Poisson-binomial
+law of the eigenvalues, multiplied out by a balanced product tree of its linear
 factors with FFT products, and stay one float64 array through the distances,
 which return Python floats bit-identical to a per-k loop.
 """
@@ -37,8 +38,8 @@ class LimitStats:
 
 
 def _eigenvalues(s: Spectrum) -> np.ndarray:
-    """The spectrum as a float64 array, refused at its first negative value."""
-    lam = np.array(s.values, dtype=float)
+    """The spectrum's float64 array, refused at its first negative value."""
+    lam = s.values
     if lam.size and lam.min() < 0.0:
         raise InputError(f"negative eigenvalue {float(lam[lam < 0.0][0])!r}")
     return lam
@@ -47,11 +48,11 @@ def _eigenvalues(s: Spectrum) -> np.ndarray:
 def mean_variance(s: Spectrum) -> LimitStats:
     """mu = sum 1/(1 + lam), sigma2 = sum lam/(1 + lam)^2 over the spectrum.
 
-    Compensated summation keeps the result independent of summation order.
-    """
+    Compensated summation keeps the result independent of summation order;
+    a memoryview hands ``math.fsum`` the terms as Python floats, with no list."""
     lam = _eigenvalues(s)
-    mu = math.fsum((1.0 / (1.0 + lam)).tolist())
-    sigma2 = math.fsum((lam / ((1.0 + lam) * (1.0 + lam))).tolist())
+    mu = math.fsum(memoryview(1.0 / (1.0 + lam)))
+    sigma2 = math.fsum(memoryview(lam / ((1.0 + lam) * (1.0 + lam))))
     return LimitStats(mu=mu, sigma2=sigma2, n=len(s))
 
 

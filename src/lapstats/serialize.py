@@ -67,18 +67,13 @@ def coefficients_csv(coeffs: list[int]) -> str:
 
 
 def spectrum_json(s: Spectrum, trace_residual: float) -> str:
-    return _dump_json(
-        {
-            "values": list(s.values),
-            "exact": s.exact,
-            "trace_residual": trace_residual,
-        }
-    )
+    return _dump_json({"values": s.values.tolist(), "exact": s.exact,
+                       "trace_residual": trace_residual})
 
 
 def spectrum_csv(s: Spectrum) -> str:
     """One row per eigenvalue; the trace residual is in the JSON form only."""
-    return _csv_text([["i", "lambda"]] + [[str(i), repr(v)] for i, v in enumerate(s.values)])
+    return _csv_text([["i", "lambda"]] + [[str(i), repr(v)] for i, v in enumerate(s.values.tolist())])
 
 
 def stats_json(payload: dict) -> str:

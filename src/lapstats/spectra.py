@@ -25,22 +25,26 @@ TRACE_TOL = 1e-8
 ZERO_MATCH_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Real eigenvalues sorted descending; ``exact`` marks integer-valued
-    closed forms (no floating error in the values)."""
+    """Real eigenvalues from any iterable of reals, held as a private read-only
+    float64 array sorted descending; ``exact`` marks integer-valued closed
+    forms (no floating error in the values)."""
 
-    values: tuple[float, ...]
+    values: np.ndarray
     exact: bool = False
+
+    def __post_init__(self) -> None:
+        v = self.values
+        a = np.asarray(v if isinstance(v, np.ndarray) else list(v), dtype=float)
+        # a stable sort keeps ties (0.0 and -0.0) in sorted(reverse=True)'s
+        # order, and indexing by it copies, so a caller's array is never frozen
+        a = a[np.argsort(-a, kind="stable")]
+        a.flags.writeable = False
+        object.__setattr__(self, "values", a)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @classmethod
-    def from_values(cls, values, exact: bool = False) -> Spectrum:
-        # a stable sort keeps ties (0.0 and -0.0) in sorted(reverse=True)'s order
-        a = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
-        return cls(tuple(a[np.argsort(-a, kind="stable")].tolist()), exact)
 
 
 def numeric_spectrum(matrix) -> Spectrum:
@@ -68,14 +72,14 @@ def numeric_spectrum(matrix) -> Spectrum:
     if not residual <= TRACE_TOL * max(1.0, abs(trace)):
         raise ConvergenceError(f"eigenvalue sum misses the trace by {residual:.3e}")
     snap = 10.0 * SNAP_TOL * float(np.linalg.norm(a))
-    return Spectrum.from_values(np.where((-snap < values) & (values < 0.0), 0.0, values))
+    return Spectrum(np.where((-snap < values) & (values < 0.0), 0.0, values))
 
 
 def _drop_one_zero(s: Spectrum, what: str) -> np.ndarray:
-    smallest = s.values[-1]
+    smallest = float(s.values[-1])
     if abs(smallest) > ZERO_MATCH_TOL:
         raise InputError(f"{what} spectrum has no zero eigenvalue (smallest {smallest!r})")
-    return np.array(s.values[:-1], dtype=float)
+    return s.values[:-1]
 
 
 def join_spectrum(s1: Spectrum, n1: int, s2: Spectrum, n2: int) -> Spectrum:
@@ -91,7 +95,7 @@ def join_spectrum(s1: Spectrum, n1: int, s2: Spectrum, n2: int) -> Spectrum:
         raise InputError("join needs nonempty parts")
     values = np.concatenate(([0.0, float(n1 + n2)], n2 + _drop_one_zero(s1, "first"),
                              n1 + _drop_one_zero(s2, "second")))
-    return Spectrum.from_values(values, exact=s1.exact and s2.exact)
+    return Spectrum(values, exact=s1.exact and s2.exact)
 
 
 def cone_spectrum(s: Spectrum, n: int) -> Spectrum:

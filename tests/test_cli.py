@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -256,8 +257,9 @@ class TestExitCodes:
         assert info.value.code == 2
 
 
-# SHA-256 of stdout for outputs made only of exact integers or PASS lines, so
-# no change of route or of argument handling may move a byte of them
+# SHA-256 of stdout for outputs made only of exact integers, integer-valued
+# floats or PASS lines, so no change of route, of argument handling or of the
+# float formatting at the serialiser may move a byte of them
 PINNED_STDOUT = [
     (["coeffs", "--family", "complete", "--n", "5"],
      "efca0a0d254f437809ba4f8bafca01c82078a7a4798af4548d309293346acdd6"),
@@ -271,6 +273,13 @@ PINNED_STDOUT = [
      "d4257dadae5e112067ac34ab493cdd21f033c604ad3ccfa0167de96ddf0b259c"),
     (["verify"],
      "987cdb7bdad92dc3e171d0092165b2c71ef986ae75bfb1c60dd1e1ee48760924"),
+    (["spectrum", "--family", "hypercube", "--n", "10", "--closed-form"],
+     "6d8466a18574c5d9db588574ce7086527f31a9d03bfcd9d4c776bd5fa51af9c4"),
+    (["spectrum", "--family", "hypercube", "--n", "10", "--closed-form", "--format", "csv"],
+     "11895e165d10fef50205ecf7ef31e9ff29d7d7efe35515d98de401db7b4235d1"),
+    (["spectrum", "--family", "complete_bipartite", "--n", "3,5", "--closed-form",
+      "--format", "csv"],
+     "ac67f22769fbab46e2c02da5ef834459b7068ef4a67ece1d4c110bef444bcaee"),
 ]
 
 
@@ -283,6 +292,13 @@ def test_exact_stdout_is_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def _sine_spectrum_csv(n: int, m: int) -> str:
+    """The CSV of the former per-j closed form: Python floats from
+    ``4 sin(j pi / m) ** 2``, sorted descending and written by repr."""
+    values = sorted((4.0 * math.sin(j * math.pi / m) ** 2 for j in range(n)), reverse=True)
+    return "i,lambda\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values))
+
+
 # stdout of the array route against rows rebuilt by the former per-k loops:
 # a route change that moves one bit of a distance or a moment fails here
 REFERENCE_STDOUT = [
@@ -292,6 +308,8 @@ REFERENCE_STDOUT = [
      lambda: serialize.rows_json([reference_row("complete_bipartite", (500, 500))])),
     (["sweep", "--family", "wheel", "--ladder", "1000,4000,10000", "--format", "csv"],
      lambda: serialize.rows_csv([reference_row("wheel", (n,)) for n in (1000, 4000, 10000)])),
+    (["spectrum", "--family", "path", "--n", "4096", "--closed-form", "--format", "csv"],
+     lambda: _sine_spectrum_csv(4096, 8192)),
 ]
 
 

@@ -13,19 +13,29 @@ from lapstats.graphs import cone
 
 
 def test_verify_computes_each_charpoly_once(monkeypatch):
-    calls = []
-    real = exact.charpoly_monic
+    kinds, calls = [], []
+    real_many, real_stack = exact._unsigned_coefficients_many, exact._faddeev_leverrier
 
-    def counted(matrix):
-        calls.append(len(matrix))
-        return real(matrix)
+    def many(graphs, build, label, matrices=None):
+        kinds.append(label)
+        return real_many(graphs, build, label, matrices)
 
-    monkeypatch.setattr(exact, "charpoly_monic", counted)
+    def stacked(a, primes):
+        calls.append((kinds[-1], a.shape[1], a.shape[0]))
+        return real_stack(a, primes)
+
+    monkeypatch.setattr(exact, "_unsigned_coefficients_many", many)
+    monkeypatch.setattr(exact, "_faddeev_leverrier", stacked)
     results = run_verification()
     assert all(r.ok for r in results)
-    # one Laplacian charpoly per corpus graph, one per random tree of order
-    # 10..12, one signless charpoly per bipartite corpus graph
-    assert len(calls) <= 516
+    # one stacked charpoly per vertex count 1..12 for the Laplacians of every
+    # corpus graph and random tree, and one for the signless Laplacians of the
+    # bipartite corpus graphs
+    pairs = [(kind, order) for kind, order, _ in calls]
+    assert len(pairs) == len(set(pairs)) == 24
+    assert sorted(pairs) == sorted((kind, order) for kind in ("Laplacian", "signless Laplacian")
+                                   for order in range(1, 13))
+    assert sum(count for _, _, count in calls) == 516
 
 
 def test_corpus_labels_are_unique():

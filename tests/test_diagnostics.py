@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from lapstats import serialize
@@ -170,5 +171,6 @@ class TestPythonFloatsOnly:
         g = random_regular(30, 4, seed=3)
         spectra += [numeric_spectrum(laplacian_matrix(g)), cone_spectrum(spectra[0], 4)]
         for s in spectra:
-            assert type(s.values) is tuple and all(type(v) is float for v in s.values)
+            assert s.values.dtype == np.float64 and not s.values.flags.writeable
+            assert bool(np.all(s.values[:-1] >= s.values[1:]))
             assert "np." not in serialize.spectrum_csv(s) + serialize.spectrum_json(s, 0.0)

@@ -160,7 +160,7 @@ def _seeded_spectra() -> list[Spectrum]:
         zeros = [0.0] * int(rng.integers(1, 4))
         repeated = [float(rng.integers(1, 9))] * int(rng.integers(0, n // 3 + 1))
         spread = rng.uniform(0.0, 12.0, n).tolist()
-        out.append(Spectrum.from_values((zeros + repeated + spread)[:n]))
+        out.append(Spectrum((zeros + repeated + spread)[:n]))
     return out
 
 

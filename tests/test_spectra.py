@@ -43,13 +43,13 @@ class TestNumericSolver:
         assert s.values == pytest.approx((4.0, 2.0, 2.0, 0.0), abs=1e-10)
 
     def test_identity_matrix(self):
-        assert numeric_spectrum([[1, 0], [0, 1]]).values == (1.0, 1.0)
+        assert numeric_spectrum([[1, 0], [0, 1]]).values.tolist() == [1.0, 1.0]
 
     def test_zero_matrix(self):
-        values = numeric_spectrum([[0] * 3 for _ in range(3)]).values
-        assert values == (0.0, 0.0, 0.0)
+        values = numeric_spectrum([[0] * 3 for _ in range(3)]).values.tolist()
+        assert values == [0.0, 0.0, 0.0]
         assert all(math.copysign(1.0, v) == 1.0 for v in values)  # +0.0, never -0.0
-        assert numeric_spectrum(np.zeros((0, 0))).values == ()
+        assert numeric_spectrum(np.zeros((0, 0))).values.tolist() == []
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(InputError, match="symmetric"):
@@ -88,7 +88,7 @@ class TestNumericSolver:
         a = np.diag([0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0 - 2e-3])  # trace = sum(raw)
         snap = 10.0 * SNAP_TOL * float(np.linalg.norm(a))
         want = sorted((0.0 if -snap < v < 0.0 else v for v in raw.tolist()), reverse=True)
-        got = numeric_spectrum(a).values
+        got = numeric_spectrum(a).values.tolist()
         assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
@@ -98,19 +98,29 @@ class TestFromValues:
         rng = np.random.default_rng(7)
         for _ in range(50):
             values = rng.choice([0.0, -0.0, 1.5, 2.0, -1e-300, 3.0], size=30).tolist()
-            got = Spectrum.from_values(values).values
+            got = Spectrum(values).values.tolist()
             want = sorted(values, reverse=True)
             assert [repr(v) for v in got] == [repr(v) for v in want]
 
     @pytest.mark.parametrize("values", [
         [3, 0, 3, 1], (2.5, -0.0, 0.0), np.array([0.0, 7.0, -0.0]),
-        np.array([2, 0, 2], dtype=np.int64), []])
-    def test_any_iterable_gives_a_tuple_of_floats(self, values):
+        np.array([2, 0, 2], dtype=np.int64), [], (0.0, 2.0)])
+    def test_any_iterable_gives_a_read_only_float64_array(self, values):
         want = sorted((float(v) for v in values), reverse=True)
         for given in (values, iter(values)):
-            got = Spectrum.from_values(given).values
-            assert type(got) is tuple and all(type(v) is float for v in got)
-            assert [repr(v) for v in got] == [repr(v) for v in want]
+            got = Spectrum(given).values
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
+            with pytest.raises(ValueError, match="read-only"):
+                got[:] = 5.0
+
+    @pytest.mark.parametrize("given", [[0.0, 3.0, 1.0], [3.0, 1.0, 0.0]])
+    def test_a_callers_array_is_copied_not_frozen(self, given):
+        a = np.array(given)
+        s = Spectrum(a)
+        assert a.flags.writeable and a.tolist() == given
+        a[:] = 9.0
+        assert s.values.tolist() == [3.0, 1.0, 0.0]
 
 
 class TestLargeNumeric:
@@ -147,11 +157,11 @@ class TestClosedForms:
 
     def test_complete(self):
         s = closed_form_spectrum("complete", 5)
-        assert s.exact and s.values == (5.0, 5.0, 5.0, 5.0, 0.0)
+        assert s.exact and s.values.tolist() == [5.0, 5.0, 5.0, 5.0, 0.0]
 
     def test_hypercube_multiplicities(self):
         s = closed_form_spectrum("hypercube", 3)
-        assert s.values == (6.0, 4.0, 4.0, 4.0, 2.0, 2.0, 2.0, 0.0)
+        assert s.values.tolist() == [6.0, 4.0, 4.0, 4.0, 2.0, 2.0, 2.0, 0.0]
 
     def test_unsupported_family(self):
         with pytest.raises(InputError):
@@ -185,11 +195,11 @@ class TestClosedForms:
 class TestTransforms:
     def test_cone_over_triangle(self):
         got = cone_spectrum(Spectrum((3.0, 3.0, 0.0)), 3)
-        assert got.values == (4.0, 4.0, 4.0, 0.0)
+        assert got.values.tolist() == [4.0, 4.0, 4.0, 0.0]
 
     def test_join_of_singletons(self):
         got = join_spectrum(Spectrum((0.0,)), 1, Spectrum((0.0,)), 1)
-        assert got.values == (2.0, 0.0)
+        assert got.values.tolist() == [2.0, 0.0]
 
     def test_cone_matches_direct_wheel(self):
         for n in (3, 10, 25):
@@ -203,9 +213,13 @@ class TestTransforms:
         want = lap_spectrum(cone(fam("matching_union", 2)))
         assert max(abs(a - b) for a, b in zip(got.values, want.values)) <= 1e-8
 
+    def test_cone_over_unsorted_input(self):
+        assert cone_spectrum(Spectrum((0.0, 2.0)), 2).values.tolist() == [3.0, 3.0, 0.0]
+
     def test_missing_zero_rejected(self):
-        with pytest.raises(InputError, match="zero"):
+        with pytest.raises(InputError, match=r"no zero eigenvalue \(smallest 1\.0\)") as info:
             cone_spectrum(Spectrum((2.0, 1.0)), 2)
+        assert "np." not in str(info.value)
 
 
 class TestBounds:
