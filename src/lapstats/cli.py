@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 environment variables are consulted.
 
 Each command reads the parsed arguments once ``_check`` has parsed --n and
---ladder. ``_graph`` reads an edge list or builds a family member, the latter
-only after its closed-form shape passes the guards of the route it feeds, so
-an over-budget family exits 3 before any graph is built.
+--ladder. ``_input`` reads an edge list or names a family member as a
+``FamilySpec``, not built; ``_graph`` builds one only after the spec's closed
+forms pass the guards of the route it feeds, so an over-budget family exits
+3 before any graph is built.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .families import (
     FamilySpec,
     closed_form_coefficients,
     family_member,
-    family_shape,
     make_family,
 )
 from .graphs import Graph, read_edge_list
@@ -106,9 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check(args: argparse.Namespace) -> None:
-    """Parse --n and --ladder in place; require exactly one input, refuse a
-    signless closed form, and require --jobs >= 1. The work runs serially
-    whatever --jobs is; the flag is accepted so existing invocations work."""
+    """Parse --n and --ladder in place; require exactly one input, a closed
+    form only of a --family that has one and never signless, and --jobs >= 1.
+    The work runs serially whatever --jobs is; the flag is accepted so
+    existing invocations work."""
     if getattr(args, "jobs", 1) < 1:
         raise InputError("--jobs must be >= 1")
     if args.command in ("coeffs", "spectrum", "stats", "diagnose"):
@@ -118,28 +119,35 @@ def _check(args: argparse.Namespace) -> None:
             args.n = _ints("--n", args.n)
         if (args.family is None) == (args.edge_list is None):
             raise InputError("give exactly one input: --family or --edge-list")
-        if getattr(args, "closed_form", False) and args.signless:
-            raise InputError("--closed-form has no signless variant")
+        if getattr(args, "closed_form", False):
+            if args.signless:
+                raise InputError("--closed-form has no signless variant")
+            if args.family is None:
+                raise InputError("--closed-form needs a --family")
+            if args.command == "spectrum" and FAMILIES[args.family].spectrum is None:
+                raise InputError("--closed-form needs a supported --family")
     elif args.command == "sweep":
         args.ladder = _ladder(args.ladder)
 
 
-def _spec(args: argparse.Namespace) -> FamilySpec:
+def _input(args: argparse.Namespace) -> Graph | FamilySpec:
+    """The edge list as read, or the named family member, not built."""
+    if args.edge_list is not None:
+        return read_edge_list(args.edge_list)
     return FamilySpec(args.family, args.n, args.seed)
 
 
 def _graph(args: argparse.Namespace, charpoly: bool = False) -> Graph:
-    """The edge list as read, or the family member, built only once its
-    closed-form shape passes the dense guard and, with ``charpoly`` and a
-    known maximum degree, the exact-charpoly guard."""
-    if args.edge_list is not None:
-        return read_edge_list(args.edge_list)
-    spec = _spec(args)
-    shape = family_shape(spec)
-    if charpoly and shape.max_degree is not None:
-        exact.charpoly_guard(shape.n, shape.max_degree)
-    exact.dense_guard(shape.n)
-    return make_family(spec)
+    """The edge list as read, or the family member, built only once the
+    spec's n passes the dense guard and, with ``charpoly`` and a known
+    maximum degree, the exact-charpoly guard."""
+    source = _input(args)
+    if isinstance(source, Graph):
+        return source
+    if charpoly and source.max_degree is not None:
+        exact.charpoly_guard(source.n, source.max_degree)
+    exact.dense_guard(source.n)
+    return make_family(source)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -154,8 +162,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     if args.closed_form:
-        if args.family is None:
-            raise InputError("--closed-form needs a --family")
         coeffs = closed_form_coefficients(args.family, *args.n)
     else:
         g = _graph(args, charpoly=True)
@@ -167,9 +173,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.closed_form:
-        if args.family is None or FAMILIES[args.family].spectrum is None:
-            raise InputError("--closed-form needs a supported --family")
-        g, s = family_member(_spec(args))
+        g, s = family_member(_input(args))
     else:
         g = _graph(args)
         matrix = exact.signless_laplacian_matrix(g) if args.signless else exact.laplacian_matrix(g)
@@ -181,11 +185,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    if args.family is not None:
-        g, s = family_member(_spec(args))
-    else:
-        g = _graph(args)
-        s = spectra.numeric_spectrum(exact.laplacian_matrix(g))
+    g, s = family_member(_input(args))
     stats = limits.mean_variance(s)
     payload = {"family": args.family, "n": g.n, "mu": stats.mu, "sigma2": stats.sigma2}
     text = serialize.stats_json(payload) if args.format == "json" else serialize.stats_csv(payload)
@@ -194,10 +194,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    if args.family is not None:
-        rows = [diagnostics.diagnose_family(args.family, args.n, args.seed)]
+    source = _input(args)
+    if isinstance(source, Graph):
+        rows = [diagnostics.diagnose_graph(source)]
     else:
-        rows = [diagnostics.diagnose_graph(_graph(args))]
+        rows = [diagnostics.diagnose_family(source.family, source.size, source.seed)]
     text = serialize.rows_json(rows) if args.format == "json" else serialize.rows_csv(rows)
     _emit(args, text)
     return 0

@@ -1,21 +1,21 @@
 """Per-graph diagnostic rows and family sweeps.
 
 A row bundles the structural facts (edges, max degree), the spectrum-side
-statistics, the distribution distances and a regime verdict. Every row takes
-its probabilities from one route, the Poisson-binomial expansion of the
-spectrum (``limits.probabilities_from_spectrum``); the spectrum is the
-family's closed form where it has one, which is then never built, and the
-numeric spectrum otherwise. Sweeps map a family over a size ladder, one row
-per entry in ascending size order.
+statistics, the distribution distances and a verdict, Poisson-regime exactly
+for the families with a Poisson reference law. Every row takes its member
+and spectrum from ``families.family_member`` and its probabilities from one
+route, the Poisson-binomial expansion of the spectrum
+(``limits.probabilities_from_spectrum``). Sweeps map a family over a size
+ladder, one row per entry in ascending size order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import exact, limits, spectra
+from . import limits, spectra
 from .errors import InputError
-from .families import Family, FamilySpec, Shape, family_member, family_record
+from .families import Family, FamilySpec, family_member, family_record
 from .graphs import Graph
 
 VERDICT_POISSON = "poisson-regime"
@@ -40,21 +40,18 @@ class DiagnosticsRow:
     sigma2_per_vertex_err: float | None = None
 
 
-_VERDICTS = {"normal": VERDICT_NORMAL, "poisson": VERDICT_POISSON}
-
-
-def _row(family: str | None, shape: Graph | Shape, spectrum: spectra.Spectrum,
+def _row(family: str | None, member: Graph | FamilySpec, spectrum: spectra.Spectrum,
          poisson: tuple[float, int] | None = None) -> DiagnosticsRow:
     stats = limits.mean_variance(spectrum)
     probs = limits.probabilities_from_spectrum(spectrum)
     return DiagnosticsRow(
         family=family,
-        n=shape.n,
-        edges=shape.edge_count,
-        max_degree=shape.max_degree,
+        n=member.n,
+        edges=member.edge_count,
+        max_degree=member.max_degree,
         mu=stats.mu,
         sigma2=stats.sigma2,
-        sigma2_lower_bound=limits.variance_lower_bound(shape),
+        sigma2_lower_bound=limits.variance_lower_bound(member),
         clt_distance=limits.clt_distance(probs, stats),
         llt_distance=limits.llt_distance(probs, stats),
         poisson_distance=None if poisson is None else limits.poisson_distance(probs, *poisson),
@@ -73,9 +70,9 @@ def diagnose_family(family: str, size: int | tuple[int, ...],
     for that value in every size parameter."""
     record = family_record(family)
     params = _params(record, size)
-    shape, spectrum = family_member(FamilySpec(family, params, seed))
-    row = _row(family, shape, spectrum, record.poisson(*params) if record.poisson else None)
-    row.verdict = _VERDICTS[record.regime]
+    row = _row(family, *family_member(FamilySpec(family, params, seed)),
+               record.poisson(*params) if record.poisson else None)
+    row.verdict = VERDICT_NORMAL if record.poisson is None else VERDICT_POISSON
     if record.limits is not None:
         mu_c, s2_c = record.limits
         row.mu_per_vertex_err = abs(row.mu / row.n - mu_c)
@@ -85,7 +82,7 @@ def diagnose_family(family: str, size: int | tuple[int, ...],
 
 def diagnose_graph(g: Graph) -> DiagnosticsRow:
     """Diagnostic row for an arbitrary graph (no family knowledge)."""
-    return _row(None, g, spectra.numeric_spectrum(exact.laplacian_matrix(g)))
+    return _row(None, *family_member(g))
 
 
 def run_sweep(family: str, ladder, seed: int | None = None) -> list[DiagnosticsRow]:

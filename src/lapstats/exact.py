@@ -43,14 +43,13 @@ sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Callable
 from itertools import chain
 
 import numpy as np
 
 from .errors import GuardExceeded, InputError
-from .graphs import Graph
+from .graphs import Graph, bfs_distances
 
 FOREST_EDGE_GUARD = 24
 MATCHING_EDGE_GUARD = 64
@@ -426,14 +425,7 @@ def wiener_index(g: Graph) -> int:
     total = 0
     for start in range(g.n):
         dist = [-1] * g.n
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
+        bfs_distances(adj, start, dist)
         if any(d < 0 for d in dist):
             raise InputError("wiener_index needs a connected graph")
         total += sum(dist)

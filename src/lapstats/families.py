@@ -2,9 +2,11 @@
 
 A record holds all that is known about a family: its size rule, the builder,
 the closed-form n, |E| and maximum degree, and where they exist the spectrum,
-the coefficient formula, the regime with its Poisson reference law and the
-per-vertex limit constants. ``FamilySpec`` checks a member against its record
-once, together with the vertex budget. Builders use fixed canonical labelings
+the coefficient formula, the Poisson reference law of a Poisson-regime family
+and the per-vertex limit constants. ``FamilySpec`` checks a member against
+its record once, together with the vertex budget, and carries those n, |E|
+and maximum degree; ``family_member`` takes a spec or a graph to the member
+and its Laplacian spectrum. Builders use fixed canonical labelings
 (path 0-1-...-(n-1), cycle in cyclic order, star centered at 0, hypercube
 vertices as bit patterns) so that outputs are reproducible byte for byte.
 """
@@ -15,8 +17,8 @@ import heapq
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,15 +35,6 @@ MAX_OUTPUT_DIGITS = 1 << 26
 _SQRT5 = math.sqrt(5.0)
 
 
-class Shape(NamedTuple):
-    """Vertex count, edge count and maximum degree of a family member, read
-    like the attributes of the same name on a ``Graph``."""
-
-    n: int
-    edge_count: int
-    max_degree: int | None
-
-
 @dataclass(frozen=True)
 class Family:
     """One named family. Every callable takes the size parameters."""
@@ -55,8 +48,9 @@ class Family:
     rule: Callable[..., str | None] | None = None  # what the minimum cannot say
     spectrum: Callable[..., Spectrum] | None = None
     coefficients: Callable[..., list[int]] | None = None
-    regime: str = "normal"
-    poisson: Callable[..., tuple[float, int] | None] | None = None  # (mean, shift)
+    # (mean, shift) of the Poisson reference law, None for a member without
+    # one; exactly the families that set it get the Poisson verdict
+    poisson: Callable[..., tuple[float, int] | None] | None = None
     limits: tuple[float, float] | None = None  # advertised (mu/n, sigma2/n)
 
     @property
@@ -143,14 +137,6 @@ def _sine_spectrum(n: int, m: int) -> Spectrum:
     return Spectrum(4.0 * np.float_power(np.sin(np.arange(n) * math.pi / m), 2))
 
 
-def _star_eigenvalues(n: int) -> list[int]:
-    return [0] if n == 1 else [0, n] + [1] * (n - 2)
-
-
-def _bipartite_eigenvalues(m: int, n: int) -> list[int]:
-    return [0, m + n] + [n] * (m - 1) + [m] * (n - 1)
-
-
 def _exact_quotient(numerator: int, denominator: int) -> int:
     q, r = divmod(numerator, denominator)
     if r:
@@ -196,6 +182,13 @@ def _spectrum_coefficients(eigenvalues: list[int]) -> list[int]:
     return [0] * zeros + f
 
 
+def _integer_spectrum(eigenvalues: Callable[..., list[int]]) -> dict[str, Callable]:
+    """The ``spectrum`` and ``coefficients`` of a family whose Laplacian
+    eigenvalues are the integers ``eigenvalues(*size)``."""
+    return {"spectrum": lambda *size: Spectrum(eigenvalues(*size), exact=True),
+            "coefficients": lambda *size: _spectrum_coefficients(eigenvalues(*size))}
+
+
 FAMILIES: dict[str, Family] = {
     "path": Family(
         minimum=(1,),
@@ -223,8 +216,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda n: n,
         edges=lambda n: n - 1,
         max_degree=lambda n: n - 1,
-        spectrum=lambda n: Spectrum(_star_eigenvalues(n), exact=True),
-        coefficients=lambda n: _spectrum_coefficients(_star_eigenvalues(n)),
+        **_integer_spectrum(lambda n: [0] if n == 1 else [0, n] + [1] * (n - 2)),
     ),
     "complete": Family(
         minimum=(1,),
@@ -232,9 +224,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda n: n,
         edges=lambda n: n * (n - 1) // 2,
         max_degree=lambda n: n - 1,
-        spectrum=lambda n: Spectrum([0] + [n] * (n - 1), exact=True),
-        coefficients=lambda n: _spectrum_coefficients([0] + [n] * (n - 1)),
-        regime="poisson",
+        **_integer_spectrum(lambda n: [0] + [n] * (n - 1)),
         poisson=lambda n: (1.0, 1),
     ),
     "complete_bipartite": Family(
@@ -243,9 +233,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda m, n: m + n,
         edges=lambda m, n: m * n,
         max_degree=max,
-        spectrum=lambda m, n: Spectrum(_bipartite_eigenvalues(m, n), exact=True),
-        coefficients=lambda m, n: _spectrum_coefficients(_bipartite_eigenvalues(m, n)),
-        regime="poisson",
+        **_integer_spectrum(lambda m, n: [0, m + n] + [n] * (m - 1) + [m] * (n - 1)),
         poisson=lambda m, n: (2.0, 1) if m == n else None,
     ),
     "hypercube": Family(
@@ -267,8 +255,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda copies: 2 * copies,
         edges=lambda copies: copies,
         max_degree=lambda copies: 1,
-        spectrum=lambda copies: Spectrum([0] * copies + [2] * copies, exact=True),
-        coefficients=lambda copies: _spectrum_coefficients([0] * copies + [2] * copies),
+        **_integer_spectrum(lambda copies: [0] * copies + [2] * copies),
     ),
     "wheel": Family(
         minimum=(3,),
@@ -318,12 +305,16 @@ def family_record(family: str) -> Family:
 class FamilySpec:
     """A named graph family together with its size parameters and, for the
     seeded families only, a seed. Construction checks the family's size rule
-    and the vertex budget, so a spec always names a graph that may be built.
+    and the vertex budget, so a spec always names a graph that may be built,
+    and stores its closed-form n, edge_count and max_degree as a Graph has them.
     """
 
     family: str
     size: tuple[int, ...]
     seed: int | None = None
+    n: int = field(init=False, compare=False, repr=False)
+    edge_count: int = field(init=False, compare=False, repr=False)
+    max_degree: int | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         record = family_record(self.family)
@@ -343,49 +334,47 @@ class FamilySpec:
             )
         # n is at least every size parameter, so the first test keeps the
         # exponential orders (hypercube, binary tree) from growing huge
-        if max(self.size) > MAX_VERTICES or record.order(*self.size) > MAX_VERTICES:
+        if max(self.size) > MAX_VERTICES or (n := record.order(*self.size)) > MAX_VERTICES:
             raise GuardExceeded(
                 f"{self.family} {self.size!r} exceeds the budget of {MAX_VERTICES} vertices"
             )
-
-
-def family_shape(spec: FamilySpec) -> Shape:
-    """n, |E| and the maximum degree from the closed forms, without building."""
-    r = FAMILIES[spec.family]
-    return Shape(r.order(*spec.size), r.edges(*spec.size),
-                 r.max_degree(*spec.size) if r.max_degree else None)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edge_count", record.edges(*self.size))
+        object.__setattr__(self, "max_degree",
+                           record.max_degree(*self.size) if record.max_degree else None)
 
 
 def make_family(spec: FamilySpec) -> Graph:
     """Construct the graph described by a FamilySpec, within the edge budget."""
     r = FAMILIES[spec.family]
-    edges = r.edges(*spec.size)
-    if edges > MAX_EDGES:
+    if spec.edge_count > MAX_EDGES:
         raise GuardExceeded(
-            f"{spec.family} {spec.size!r} has {edges} edges, above the budget of {MAX_EDGES}"
+            f"{spec.family} {spec.size!r} has {spec.edge_count} edges, above the budget of {MAX_EDGES}"
         )
     if r.seeded:
         return r.build(*spec.size, spec.seed)
     return r.build(*spec.size)
 
 
-def family_member(spec: FamilySpec) -> tuple[Graph | Shape, Spectrum]:
-    """The member's shape and Laplacian spectrum: closed forms where the
-    family has a closed-form spectrum, which is then never built; otherwise
-    the built graph and its numeric spectrum, whose dense guard is checked
-    from the closed-form n before the graph is built."""
-    r = FAMILIES[spec.family]
-    if r.spectrum is not None:
-        return family_shape(spec), r.spectrum(*spec.size)
-    exact.dense_guard(r.order(*spec.size))
-    g = make_family(spec)
-    return g, spectra.numeric_spectrum(exact.laplacian_matrix(g))
+def family_member(source: FamilySpec | Graph) -> tuple[FamilySpec | Graph, Spectrum]:
+    """The member and its Laplacian spectrum, for a named member or any graph.
+    A spec whose family has a closed-form spectrum comes back as it is, with
+    that spectrum, and is never built. Otherwise the graph comes back with
+    its numeric spectrum; a spec's graph is built only after the dense guard
+    passes on the spec's closed-form n."""
+    if isinstance(source, FamilySpec):
+        r = FAMILIES[source.family]
+        if r.spectrum is not None:
+            return source, r.spectrum(*source.size)
+        exact.dense_guard(source.n)
+        source = make_family(source)
+    return source, spectra.numeric_spectrum(exact.laplacian_matrix(source))
 
 
-def _closed_form(field: str, family: str, params: tuple[int, ...]):
-    formula = getattr(family_record(family), field)
+def _closed_form(what: str, family: str, params: tuple[int, ...]):
+    formula = getattr(family_record(family), what)
     if formula is None:
-        raise InputError(f"no closed-form {field} for family {family!r}")
+        raise InputError(f"no closed-form {what} for family {family!r}")
     return formula(*FamilySpec(family, params).size)
 
 

@@ -135,42 +135,37 @@ def max_degree(g: Graph) -> int:
     return g.max_degree
 
 
+def bfs_distances(adj: list[list[int]], start: int, dist: list[int]) -> None:
+    """Set dist[v] to the distance from ``start`` for each vertex v of its
+    component, which ``dist`` must mark -1 on entry; other entries stay."""
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+
+
 def component_count(g: Graph) -> int:
-    seen = [False] * g.n
     adj = g.adjacency()
+    dist = [-1] * g.n
     count = 0
     for start in range(g.n):
-        if seen[start]:
-            continue
-        count += 1
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
+        if dist[start] < 0:
+            count += 1
+            bfs_distances(adj, start, dist)
     return count
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
     adj = g.adjacency()
+    dist = [-1] * g.n
     for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
+        if dist[start] < 0:
+            bfs_distances(adj, start, dist)
+    return all(dist[u] % 2 != dist[v] % 2 for u, v in g.edges)
 
 
 def is_tree(g: Graph) -> bool:

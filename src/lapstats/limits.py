@@ -38,10 +38,12 @@ class LimitStats:
 
 
 def _eigenvalues(s: Spectrum) -> np.ndarray:
-    """The spectrum's float64 array, refused at its first negative value."""
+    """The spectrum's float64 array, refused at its first value not >= 0, NaN included."""
     lam = s.values
-    if lam.size and lam.min() < 0.0:
-        raise InputError(f"negative eigenvalue {float(lam[lam < 0.0][0])!r}")
+    ok = lam >= 0.0
+    if not ok.all():
+        first = float(lam[~ok][0])
+        raise InputError(f"negative eigenvalue {first!r}" if first < 0.0 else "NaN eigenvalue")
     return lam
 
 
@@ -177,7 +179,7 @@ def poisson_distance(probs, mean: float, k_shift: int) -> float:
 
 def variance_lower_bound(g: Graph) -> float:
     """2|E| / (1 + 2 * max degree)^2, a lower bound on sigma2. ``g`` may
-    also be a ``families.Shape``."""
+    also be a ``families.FamilySpec``, read from its closed forms."""
     return 2.0 * g.edge_count / (1.0 + 2.0 * g.max_degree) ** 2
 
 

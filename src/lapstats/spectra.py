@@ -118,5 +118,5 @@ def anderson_morley_bound(g: Graph) -> int:
 
 def trace_check(s: Spectrum, g: Graph) -> float:
     """|sum of eigenvalues - 2|E||, a solver health metric. ``g`` may also be
-    a ``families.Shape``, so closed-form members need not be built."""
+    a ``families.FamilySpec``, so closed-form members need not be built."""
     return abs(math.fsum(s.values) - 2.0 * g.edge_count)

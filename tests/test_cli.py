@@ -10,6 +10,7 @@ import pytest
 
 from lapstats import cli, serialize
 from lapstats.errors import GuardExceeded
+from lapstats.families import FamilySpec, make_family
 from test_limits import reference_row
 
 
@@ -181,6 +182,23 @@ class TestDiagnoseAndSweep:
         assert json.loads(target.read_text())[0]["family"] == "star"
 
 
+@pytest.mark.parametrize("family, n, seed", [("complete_binary_tree", 4, None),
+                                             ("random_tree", 30, 2)])
+def test_family_and_its_edge_list_take_one_route(capsys, tmp_path, family, n, seed):
+    family_args = ["--family", family, "--n", str(n)] + ([] if seed is None else ["--seed", str(seed)])
+    g = make_family(FamilySpec(family, (n,), seed))
+    path = tmp_path / "member.txt"
+    path.write_text(f"{g.n} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)),
+                    encoding="utf-8")
+    for command, keys in (("stats", ("n", "mu", "sigma2")),
+                          ("diagnose", ("n", "mu", "sigma2", "clt_distance", "llt_distance"))):
+        named = json.loads(run_cli(capsys, command, *family_args)[1])
+        listed = json.loads(run_cli(capsys, command, "--edge-list", str(path))[1])
+        if command == "diagnose":
+            (named,), (listed,) = named, listed
+        assert [named[k] for k in keys] == [listed[k] for k in keys]
+
+
 class TestExitCodes:
     def test_bad_family_size(self, capsys):
         code, _, err = run_cli(capsys, "coeffs", "--family", "cycle", "--n", "2")
@@ -198,6 +216,17 @@ class TestExitCodes:
         path.write_text("2 1\n0 1\n")
         code, _, _ = run_cli(capsys, "coeffs", "--edge-list", str(path), "--closed-form")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--edge-list", "G", "--closed-form"],
+        ["spectrum", "--family", "complete_binary_tree", "--n", "3", "--closed-form"],
+        ["coeffs", "--family", "wheel", "--n", "5", "--closed-form"],
+    ])
+    def test_closed_form_refused_without_a_formula(self, capsys, tmp_path, argv):
+        path = tmp_path / "g.txt"
+        path.write_text("2 1\n0 1\n")
+        code, out, err = run_cli(capsys, *(str(path) if a == "G" else a for a in argv))
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_missing_seed_for_random_family(self, capsys):
         code, _, _ = run_cli(capsys, "coeffs", "--family", "random_tree", "--n", "6")

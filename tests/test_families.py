@@ -17,7 +17,6 @@ from lapstats.families import (
     FamilySpec,
     closed_form_coefficients,
     closed_form_spectrum,
-    family_shape,
     make_family,
 )
 
@@ -37,11 +36,10 @@ _EXTRA_MEMBERS = [
 )
 def test_table_shape_matches_built_graph(family, size, seed):
     spec = FamilySpec(family, size, seed)
-    shape = family_shape(spec)
     g = make_family(spec)
-    assert (shape.n, shape.edge_count) == (g.n, g.edge_count)
-    if shape.max_degree is not None:
-        assert shape.max_degree == g.max_degree
+    assert (spec.n, spec.edge_count) == (g.n, g.edge_count)
+    if spec.max_degree is not None:
+        assert spec.max_degree == g.max_degree
 
 
 @pytest.mark.parametrize("call", [
@@ -65,9 +63,18 @@ def test_vertex_budget_checked_before_building(no_graphs):
         FamilySpec("complete_binary_tree", (10 ** 12,))
 
 
+def test_spec_keeps_its_repr_and_equality():
+    spec = FamilySpec("path", (3,))
+    assert repr(spec) == "FamilySpec(family='path', size=(3,), seed=None)"
+    assert spec == FamilySpec("path", (3,)) and hash(spec) == hash(FamilySpec("path", (3,)))
+    assert spec != FamilySpec("path", (4,))
+    assert (spec.n, spec.edge_count, spec.max_degree) == (3, 2, 2)
+    assert FamilySpec("random_tree", (5,), 1).max_degree is None
+
+
 def test_edge_budget_checked_before_building(no_graphs):
     spec = FamilySpec("complete", (2049,))
-    assert family_shape(spec).edge_count > MAX_EDGES
+    assert spec.edge_count > MAX_EDGES
     with pytest.raises(GuardExceeded):
         make_family(spec)
 
@@ -79,7 +86,7 @@ def test_edge_budget_checked_before_building(no_graphs):
     ["diagnose", "--family", "random_tree", "--n", "200000", "--seed", "1"],
     ["stats", "--family", "complete_binary_tree", "--n", "12"],
     ["sweep", "--family", "random_regular", "--ladder", "5000:3", "--seed", "1"],
-    # coeffs and spectrum check their guards on the closed-form shape: the
+    # coeffs and spectrum check their guards on the spec's closed forms: the
     # exact charpoly from n and the maximum degree, the dense matrix from n
     ["coeffs", "--family", "complete", "--n", "2000"],
     ["coeffs", "--family", "complete", "--n", "2000", "--signless"],

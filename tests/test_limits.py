@@ -69,6 +69,15 @@ class TestMeanVariance:
         with pytest.raises(InputError):
             mean_variance(Spectrum((1.0, -0.5)))
 
+    @pytest.mark.parametrize("route", [mean_variance, probabilities_from_spectrum])
+    @pytest.mark.parametrize("values, message", [
+        ((math.nan, -1.0, 2.0), "negative eigenvalue -1.0"),
+        ((2.0, math.nan), "NaN eigenvalue"),
+    ])
+    def test_nan_masks_no_negative_eigenvalue(self, route, values, message):
+        with pytest.raises(InputError, match=message):
+            route(Spectrum(values))
+
     def test_summation_order_independent(self):
         values = closed_form_spectrum("wheel", 400).values
         forward = mean_variance(Spectrum(values))
