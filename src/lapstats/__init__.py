@@ -55,7 +55,6 @@ from .limits import (
     LimitStats,
     clt_distance,
     cone_variance_lower_bound,
-    hypercube_variance_lower_bound,
     llt_distance,
     mean_variance,
     normalized_probabilities,

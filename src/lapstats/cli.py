@@ -195,10 +195,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     source = _input(args)
-    if isinstance(source, Graph):
-        rows = [diagnostics.diagnose_graph(source)]
-    else:
-        rows = [diagnostics.diagnose_family(source.family, source.size, source.seed)]
+    rows = [diagnostics.diagnose_graph(source) if isinstance(source, Graph)
+            else diagnostics.diagnose_family(source)]
     text = serialize.rows_json(rows) if args.format == "json" else serialize.rows_csv(rows)
     _emit(args, text)
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import limits, spectra
 from .errors import InputError
-from .families import Family, FamilySpec, family_member, family_record
+from .families import FamilySpec, family_member, family_record
 from .graphs import Graph
 
 VERDICT_POISSON = "poisson-regime"
@@ -59,19 +59,11 @@ def _row(family: str | None, member: Graph | FamilySpec, spectrum: spectra.Spect
     )
 
 
-def _params(record: Family, size: int | tuple[int, ...]) -> tuple[int, ...]:
-    """An integer size stands for that value in every size parameter."""
-    return size if isinstance(size, tuple) else (size,) * record.arity
-
-
-def diagnose_family(family: str, size: int | tuple[int, ...],
-                    seed: int | None = None) -> DiagnosticsRow:
-    """Full diagnostic row for one family member; an integer size stands
-    for that value in every size parameter."""
-    record = family_record(family)
-    params = _params(record, size)
-    row = _row(family, *family_member(FamilySpec(family, params, seed)),
-               record.poisson(*params) if record.poisson else None)
+def diagnose_family(spec: FamilySpec) -> DiagnosticsRow:
+    """Full diagnostic row for one family member."""
+    record = family_record(spec.family)
+    row = _row(spec.family, *family_member(spec),
+               record.poisson(*spec.size) if record.poisson else None)
     row.verdict = VERDICT_NORMAL if record.poisson is None else VERDICT_POISSON
     if record.limits is not None:
         mu_c, s2_c = record.limits
@@ -89,8 +81,8 @@ def run_sweep(family: str, ladder, seed: int | None = None) -> list[DiagnosticsR
     """One diagnostic row per ladder entry, ordered by ascending size
     parameters. An entry is an integer for every size parameter or a tuple
     with one value per parameter."""
-    record = family_record(family)
-    sizes = sorted(_params(record, size) for size in ladder)
+    arity = family_record(family).arity
+    sizes = sorted(size if isinstance(size, tuple) else (size,) * arity for size in ladder)
     if not sizes:
         raise InputError("sweep ladder must be nonempty")
-    return [diagnose_family(family, size, seed) for size in sizes]
+    return [diagnose_family(FamilySpec(family, size, seed)) for size in sizes]

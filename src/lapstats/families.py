@@ -3,12 +3,18 @@
 A record holds all that is known about a family: its size rule, the builder,
 the closed-form n, |E| and maximum degree, and where they exist the spectrum,
 the coefficient formula, the Poisson reference law of a Poisson-regime family
-and the per-vertex limit constants. ``FamilySpec`` checks a member against
-its record once, together with the vertex budget, and carries those n, |E|
-and maximum degree; ``family_member`` takes a spec or a graph to the member
-and its Laplacian spectrum. Builders use fixed canonical labelings
-(path 0-1-...-(n-1), cycle in cyclic order, star centered at 0, hypercube
-vertices as bit patterns) so that outputs are reproducible byte for byte.
+and the per-vertex limit constants. The families with integer spectra (star,
+complete, complete bipartite, hypercube, matching union) declare them once as
+(eigenvalue, multiplicity) pairs, which give both the spectrum and the
+coefficients f = prod (x + lam)^m, solved from the top by P f' = Q f with
+P = prod (x + lam) and Q = sum m_lam prod_(mu != lam) (x + mu) over the
+positive eigenvalues, the zero eigenvalues being a shift. ``FamilySpec``
+checks a member against its record once, together with the vertex budget,
+and carries those n, |E| and maximum degree; ``family_member`` takes a spec
+or a graph to the member and its Laplacian spectrum. Builders use fixed
+canonical labelings (path 0-1-...-(n-1), cycle in cyclic order, star
+centered at 0, hypercube vertices as bit patterns) so that outputs are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -153,40 +158,44 @@ def _ratio_coefficients(n: int, first: int, denominator: Callable[[int], int]) -
     return out
 
 
-def _power_product(a: int, p: int, b: int, q: int) -> list[int]:
-    """(x + a)^p (x + b)^q ascending, from the top. f = sum f_j x^j solves
-    (x + a)(x + b) f' = (p (x + b) + q (x + a)) f, whose x^j coefficient is
-    (N - j + 1) f_{j-1} = ab (j + 1) f_{j+1} + ((a + b) j - pb - qa) f_j with
-    N = p + q; for q = 0, b = 0 it is the binomial row of (x + a)^p."""
-    top = p + q
-    f = [0] * (top + 2)
-    f[top] = 1
-    for j in range(top, 0, -1):
-        step = a * b * (j + 1) * f[j + 1] + ((a + b) * j - p * b - q * a) * f[j]
-        f[j - 1] = _exact_quotient(step, top - j + 1)
-    return f[:top + 1]
+def _times_linear(poly: list[int], lam: int) -> list[int]:
+    """poly (x + lam), ascending."""
+    return [lam * poly[0]] + [lam * hi + lo for hi, lo in zip(poly[1:], poly)] + [poly[-1]]
 
 
-def _spectrum_coefficients(eigenvalues: list[int]) -> list[int]:
-    """prod(x + lam) ascending over a nonnegative integer spectrum, from its
-    multiplicities: the two largest as one power product, each further
-    eigenvalue as a linear factor, and the zeros as a shift."""
-    multiplicity = Counter(eigenvalues)
+def _multiplicity_coefficients(pairs: list[tuple[int, int]]) -> list[int]:
+    """f = x^(m_0) prod (x + lam)^(m_lam) ascending, over (lam, m) pairs of
+    nonnegative integers, from the top. Over the r distinct lam > 0 listed, with
+    N = sum m_lam, P = prod (x + lam) and Q = sum m_lam prod_(mu != lam) (x + mu),
+    g = f / x^(m_0) solves P g' = Q g, whose x^(s + r - 1) coefficient is
+    (N - s) g_s = sum_(i < r) P_i (s + r - i) g_(s+r-i) - sum_(i < r-1) Q_i g_(s+r-1-i)."""
+    multiplicity: dict[int, int] = {}
+    for lam, m in pairs:
+        multiplicity[lam] = multiplicity.get(lam, 0) + m
     zeros = multiplicity.pop(0, 0)
-    ranked = sorted(((m, lam) for lam, m in multiplicity.items()), reverse=True)
-    (p, a), (q, b) = (ranked + [(0, 0), (0, 0)])[:2]
-    f = _power_product(a, p, b, q)
-    for m, lam in ranked[2:]:
-        for _ in range(m):
-            f = [lam * f[0]] + [lam * hi + lo for hi, lo in zip(f[1:], f)] + [f[-1]]
-    return [0] * zeros + f
+    # a factor (x + lam)^m takes P to P (x + lam) and Q to Q (x + lam) + m P;
+    # m = 0 keeps P g' = Q g true, one term longer
+    p, q = [1], [0]
+    for lam, m in multiplicity.items():
+        p, q = _times_linear(p, lam), [a + m * b for a, b in zip(_times_linear(q, lam), p + [0])]
+    r, top = len(p) - 1, sum(multiplicity.values())
+    g = [0] * top + [1] + [0] * r
+    for s in range(top - 1, -1, -1):
+        step = (sum(p[i] * (s + r - i) * g[s + r - i] for i in range(r))
+                - sum(q[i] * g[s + r - 1 - i] for i in range(r - 1)))
+        g[s] = _exact_quotient(step, top - s)
+    return [0] * zeros + g[:top + 1]
 
 
-def _integer_spectrum(eigenvalues: Callable[..., list[int]]) -> dict[str, Callable]:
+def _integer_spectrum(pairs: Callable[..., list[tuple[int, int]]]) -> dict[str, Callable]:
     """The ``spectrum`` and ``coefficients`` of a family whose Laplacian
-    eigenvalues are the integers ``eigenvalues(*size)``."""
-    return {"spectrum": lambda *size: Spectrum(eigenvalues(*size), exact=True),
-            "coefficients": lambda *size: _spectrum_coefficients(eigenvalues(*size))}
+    eigenvalues are the integers lam, each m times, over ``pairs(*size)``."""
+    def spectrum(*size: int) -> Spectrum:
+        values, multiplicities = zip(*pairs(*size))
+        return Spectrum(np.repeat(np.array(values, dtype=float), multiplicities), exact=True)
+
+    return {"spectrum": spectrum,
+            "coefficients": lambda *size: _multiplicity_coefficients(pairs(*size))}
 
 
 FAMILIES: dict[str, Family] = {
@@ -216,7 +225,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda n: n,
         edges=lambda n: n - 1,
         max_degree=lambda n: n - 1,
-        **_integer_spectrum(lambda n: [0] if n == 1 else [0, n] + [1] * (n - 2)),
+        **_integer_spectrum(lambda n: [(0, 1)] if n == 1 else [(0, 1), (n, 1), (1, n - 2)]),
     ),
     "complete": Family(
         minimum=(1,),
@@ -224,7 +233,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda n: n,
         edges=lambda n: n * (n - 1) // 2,
         max_degree=lambda n: n - 1,
-        **_integer_spectrum(lambda n: [0] + [n] * (n - 1)),
+        **_integer_spectrum(lambda n: [(0, 1), (n, n - 1)]),
         poisson=lambda n: (1.0, 1),
     ),
     "complete_bipartite": Family(
@@ -233,7 +242,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda m, n: m + n,
         edges=lambda m, n: m * n,
         max_degree=max,
-        **_integer_spectrum(lambda m, n: [0, m + n] + [n] * (m - 1) + [m] * (n - 1)),
+        **_integer_spectrum(lambda m, n: [(0, 1), (m + n, 1), (n, m - 1), (m, n - 1)]),
         poisson=lambda m, n: (2.0, 1) if m == n else None,
     ),
     "hypercube": Family(
@@ -245,8 +254,7 @@ FAMILIES: dict[str, Family] = {
         edges=lambda d: d * (1 << d) // 2,
         max_degree=lambda d: d,
         # eigenvalue 2k once for each of the C(d, k) vertices of bit count k
-        spectrum=lambda d: Spectrum(np.repeat(
-            np.arange(2 * d, -1, -2.0), [math.comb(d, k) for k in range(d, -1, -1)]), exact=True),
+        **_integer_spectrum(lambda d: [(2 * k, math.comb(d, k)) for k in range(d + 1)]),
     ),
     "matching_union": Family(
         minimum=(1,),
@@ -255,7 +263,7 @@ FAMILIES: dict[str, Family] = {
         order=lambda copies: 2 * copies,
         edges=lambda copies: copies,
         max_degree=lambda copies: 1,
-        **_integer_spectrum(lambda copies: [0] * copies + [2] * copies),
+        **_integer_spectrum(lambda copies: [(0, copies), (2, copies)]),
     ),
     "wheel": Family(
         minimum=(3,),
@@ -396,11 +404,13 @@ def closed_form_coefficients(family: str, *params: int) -> list[int]:
 
     Each vector comes from O(n) big-integer steps, every one an exact
     division checked by its remainder (ArithmeticError otherwise): a ratio
-    recurrence in k for the path and the cycle, and the integer spectrum in
-    multiplicity form for the others, so path 12000 takes about 0.1 s where
-    the general charpoly, about P n^4 work, is refused by its guard.
-    ``coeffs --closed-form`` and ``verify`` use them. Every c_k is at most
-    sum(c) = prod(1 + lam), so the
+    recurrence in k for the path and the cycle, and for the others the
+    recurrence P f' = Q f of f = prod (x + lam)^m over the r distinct
+    positive integer eigenvalues, P = prod (x + lam) and Q = sum m_lam
+    prod_(mu != lam) (x + mu), each step 2r - 1 terms. So path 12000 takes
+    about 0.1 s and hypercube 12 about 0.2 s where the general charpoly,
+    about P n^4 work, is refused by its guard. ``coeffs --closed-form`` and
+    ``verify`` use them. Every c_k is at most sum(c) = prod(1 + lam), so the
     closed-form spectrum bounds the vector's decimal digits before the
     formula makes any big integer; GuardExceeded when that bound exceeds
     MAX_OUTPUT_DIGITS.

@@ -187,8 +187,3 @@ def cone_variance_lower_bound(base_n: int, d: int) -> float:
     """Lower bound on sigma2 of the cone over a d-regular graph on base_n
     vertices: (base_n - 1)(1 + 2d)/(2 + 2d)^2."""
     return (base_n - 1) * (1.0 + 2.0 * d) / (2.0 + 2.0 * d) ** 2
-
-
-def hypercube_variance_lower_bound(d: int) -> float:
-    """Lower bound 2d(2^d - 1)/(1 + 2d)^2 on sigma2 of the d-cube."""
-    return 2.0 * d * (2 ** d - 1) / (1.0 + 2.0 * d) ** 2

@@ -301,7 +301,7 @@ PINNED_STDOUT = [
     (["coeffs", "--edge-list", "PATH5", "--signless"],
      "d4257dadae5e112067ac34ab493cdd21f033c604ad3ccfa0167de96ddf0b259c"),
     (["verify"],
-     "987cdb7bdad92dc3e171d0092165b2c71ef986ae75bfb1c60dd1e1ee48760924"),
+     "ab4d27d3d7f89cbf672a3a16542fbdea8cfca6c4c017a235ae27614a53086e61"),
     (["spectrum", "--family", "hypercube", "--n", "10", "--closed-form"],
      "6d8466a18574c5d9db588574ce7086527f31a9d03bfcd9d4c776bd5fa51af9c4"),
     (["spectrum", "--family", "hypercube", "--n", "10", "--closed-form", "--format", "csv"],

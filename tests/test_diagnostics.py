@@ -18,6 +18,7 @@ from lapstats.errors import InputError
 from lapstats.exact import laplacian_coefficients, laplacian_matrix
 from lapstats.families import (
     FAMILIES,
+    FamilySpec,
     closed_form_coefficients,
     closed_form_spectrum,
     random_regular,
@@ -36,27 +37,27 @@ from lapstats.spectra import cone_spectrum, numeric_spectrum
 
 class TestDiagnose:
     def test_complete_50_is_poisson_regime(self):
-        row = diagnose_family("complete", 50)
+        row = diagnose_family(FamilySpec("complete", (50,)))
         assert row.verdict == VERDICT_POISSON
         assert row.poisson_distance is not None and row.poisson_distance <= 0.02
         assert row.n == 50 and row.edges == 1225 and row.max_degree == 49
 
     def test_balanced_bipartite_gets_poisson_distance(self):
-        row = diagnose_family("complete_bipartite", (25, 25))
+        row = diagnose_family(FamilySpec("complete_bipartite", (25, 25)))
         assert row.verdict == VERDICT_POISSON
         assert row.poisson_distance is not None and row.poisson_distance <= 0.05
 
     def test_unbalanced_bipartite_has_no_reference(self):
-        assert diagnose_family("complete_bipartite", (3, 7)).poisson_distance is None
+        assert diagnose_family(FamilySpec("complete_bipartite", (3, 7))).poisson_distance is None
 
     def test_path_is_normal_regime_with_convergence_columns(self):
-        row = diagnose_family("path", 100)
+        row = diagnose_family(FamilySpec("path", (100,)))
         assert row.verdict == VERDICT_NORMAL
         assert row.poisson_distance is None
         assert row.mu_per_vertex_err is not None and row.sigma2_per_vertex_err is not None
 
     def test_star_has_no_convergence_columns(self):
-        row = diagnose_family("star", 40)
+        row = diagnose_family(FamilySpec("star", (40,)))
         assert row.mu_per_vertex_err is None
 
     def test_arbitrary_graph(self):
@@ -68,7 +69,7 @@ class TestDiagnose:
     def test_large_wheel_uses_spectral_probabilities(self):
         # vertex count above the exact-pipeline cap; distances must still
         # be finite and the variance bound must hold
-        row = diagnose_family("wheel", 300)
+        row = diagnose_family(FamilySpec("wheel", (300,)))
         assert 0.0 < row.clt_distance < 1.0
         assert row.llt_distance > 0.0
         assert row.sigma2 >= cone_variance_lower_bound(300, 2) - 1e-9
@@ -134,7 +135,7 @@ class TestExactRouteOracle:
         ("path", (3000,)), ("star", (3000,)), ("complete_bipartite", (500, 500)),
         ("complete", (2000,))])
     def test_large_families(self, family, size):
-        row = diagnose_family(family, size)
+        row = diagnose_family(FamilySpec(family, size))
         stats = mean_variance(closed_form_spectrum(family, *size))
         self._assert_close(row, closed_form_coefficients(family, *size), stats)
 
@@ -149,10 +150,10 @@ class TestPythonFloatsOnly:
 
     def _rows(self):
         g = random_regular(30, 4, seed=3)
-        return [diagnose_family("complete", 50), diagnose_family("complete_bipartite", (25, 25)),
-                diagnose_family("path", 100), diagnose_family("wheel", 30),
-                diagnose_family("hypercube", 5), diagnose_graph(g),
-                diagnose_graph(random_tree(40, seed=2))]
+        members = [("complete", (50,)), ("complete_bipartite", (25, 25)), ("path", (100,)),
+                   ("wheel", (30,)), ("hypercube", (5,))]
+        return [diagnose_family(FamilySpec(f, size)) for f, size in members] + [
+            diagnose_graph(g), diagnose_graph(random_tree(40, seed=2))]
 
     def test_row_float_fields(self):
         assert {"mu", "clt_distance", "poisson_distance", "mu_per_vertex_err"} <= set(_FLOAT_FIELDS)

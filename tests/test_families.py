@@ -8,7 +8,7 @@ import pytest
 from lapstats import cli, families
 from lapstats.corpus import _FAMILY_MEMBERS
 from lapstats.errors import GuardExceeded, InputError
-from lapstats.exact import coefficients_from_eigenvalues
+from lapstats.exact import coefficients_from_eigenvalues, laplacian_coefficients_many
 from lapstats.families import (
     FAMILIES,
     MAX_EDGES,
@@ -94,6 +94,8 @@ def test_edge_budget_checked_before_building(no_graphs):
     # no maximum degree in the table, so only the dense guard applies
     ["coeffs", "--family", "random_tree", "--n", "1000000", "--seed", "1"],
     ["spectrum", "--family", "random_tree", "--n", "1000000", "--seed", "1"],
+    # the closed-form output guard, from the spectrum alone
+    ["coeffs", "--family", "hypercube", "--n", "13", "--closed-form"],
 ])
 def test_cli_guard_exits_3_before_building(capsys, no_graphs, argv):
     assert cli.main(argv) == 3
@@ -111,10 +113,14 @@ def test_closed_form_commands_never_build(capsys, no_graphs, argv):
     assert capsys.readouterr().out
 
 
-@pytest.mark.parametrize("family, size", [
-    (f, p) for f, p in _FAMILY_MEMBERS if FAMILIES[f].coefficients is not None
-] + [("path", (500,)), ("cycle", (400,)), ("star", (400,)), ("complete", (300,)),
-     ("complete_bipartite", (40, 60)), ("matching_union", (300,))])
+_WITH_FORMULA = [(f, p) for f, p in _FAMILY_MEMBERS if FAMILIES[f].coefficients is not None]
+
+
+# hypercubes last, so that the earlier cases keep their parametrize ids
+@pytest.mark.parametrize("family, size", [c for c in _WITH_FORMULA if c[0] != "hypercube"] + [
+    ("path", (500,)), ("cycle", (400,)), ("star", (400,)), ("complete", (300,)),
+    ("complete_bipartite", (40, 60)), ("matching_union", (300,))] + [
+    c for c in _WITH_FORMULA if c[0] == "hypercube"] + [("hypercube", (9,))])
 def test_output_digits_bound_the_closed_form(family, size):
     coeffs = closed_form_coefficients(family, *size)
     bound = families._output_digits(closed_form_spectrum(family, *size))
@@ -130,6 +136,8 @@ def test_output_digits_bound_the_closed_form(family, size):
     ("path", (20000,), False),  # 167M
     ("matching_union", (20000,), False),  # 382M
     ("path", (1 << 20,), False),
+    ("hypercube", (12,), True),  # 18.4M
+    ("hypercube", (13,), False),  # 75.8M
 ])
 def test_output_guard_threshold(family, size, admitted):
     digits = families._output_digits(closed_form_spectrum(family, *size))
@@ -180,7 +188,7 @@ _BINOMIAL_ORACLES = {
 
 
 def test_every_coefficient_family_has_an_oracle():
-    assert set(_BINOMIAL_ORACLES) | {"complete_bipartite"} == {
+    assert set(_BINOMIAL_ORACLES) | {"complete_bipartite", "hypercube"} == {
         f for f, r in FAMILIES.items() if r.coefficients is not None}
 
 
@@ -197,6 +205,16 @@ def test_complete_bipartite_matches_expanded_spectrum():
             want = coefficients_from_eigenvalues([0, m + n] + [n] * (m - 1) + [m] * (n - 1))
             assert closed_form_coefficients("complete_bipartite", m, n) == want, (m, n)
             assert closed_form_coefficients("complete_bipartite", n, m) == want, (n, m)
+
+
+def test_hypercube_matches_charpoly_and_expanded_spectrum():
+    cubes = laplacian_coefficients_many([make_family(FamilySpec("hypercube", (d,)))
+                                         for d in range(7)])
+    for d, want in enumerate(cubes):
+        assert closed_form_coefficients("hypercube", d) == want, d
+    for d in range(7, 10):
+        want = coefficients_from_eigenvalues([2 * v.bit_count() for v in range(1 << d)])
+        assert closed_form_coefficients("hypercube", d) == want, d
 
 
 def test_recurrence_refuses_an_inexact_step():
@@ -227,12 +245,15 @@ def _tau(family, size):
     if family == "complete_bipartite":
         m, n = size
         return m ** (n - 1) * n ** (m - 1)
+    if family == "hypercube":
+        d = size[0]
+        return 2 ** (2 ** d - d - 1) * math.prod(k ** math.comb(d, k) for k in range(1, d + 1))
     return int(size[0] == 1)  # matching_union: a forest unless one edge
 
 
 _LARGE = [("path", (6000,)), ("cycle", (6000,)), ("star", (6000,)), ("complete", (2000,)),
           ("complete_bipartite", (1000, 1000)), ("complete_bipartite", (500, 1500)),
-          ("matching_union", (3000,))]
+          ("matching_union", (3000,)), ("hypercube", (12,))]
 
 
 @pytest.mark.parametrize("family, size", _LARGE)
@@ -267,7 +288,15 @@ _PINNED_CSV = {
     ("complete_bipartite", "200,300"):
         "20374d912de5c2014242c4183e4aa10ba936071aa31fd76abbaa1bea176757d6",
     ("matching_union", "800"): "02b50c27c14a9c6bc4caa16a4f0a1a448ec530650335a824267a0c29f97d1726",
+    # the hypercube had no formula before the multiplicity form; the values
+    # are checked in test_hypercube_matches_charpoly_and_expanded_spectrum
+    ("hypercube", "8"): "c3eae11158843eaa52271fdd334ae0b244862fa13d4e163bd20534916e008d83",
 }
+
+
+def test_every_coefficient_family_is_pinned():
+    assert {f for f, _ in _PINNED_CSV} == {
+        f for f, r in FAMILIES.items() if r.coefficients is not None}
 
 
 @pytest.mark.parametrize("family, n", sorted(_PINNED_CSV))
@@ -287,11 +316,26 @@ _SINE_SIZES = sorted(set(range(3, 200)) | {
     (1 << k) + d for k in range(8, 17) for d in (-1, 0, 1) if (1 << k) + d <= 1 << 16})
 
 
-def test_hypercube_spectrum_equals_the_bit_count_generator():
-    # eigenvalue 2k with multiplicity C(d, k), bit for bit
-    for d in range(17):
-        want = sorted((2.0 * v.bit_count() for v in range(1 << d)), reverse=True)
-        assert closed_form_spectrum("hypercube", d).values.tolist() == want
+# the eigenvalue lists the (eigenvalue, multiplicity) pairs replaced, with
+# the sizes to check: every edge size and one larger member
+_FORMER_SPECTRA = {
+    "hypercube": (lambda d: [2 * v.bit_count() for v in range(1 << d)],
+                  [(d,) for d in range(17)]),
+    "star": (lambda n: [0] if n == 1 else [0, n] + [1] * (n - 2), [(1,), (2,), (3,), (50,)]),
+    "complete": (lambda n: [0] + [n] * (n - 1), [(1,), (2,), (12,)]),
+    "complete_bipartite": (lambda m, n: [0, m + n] + [n] * (m - 1) + [m] * (n - 1),
+                           [(1, 1), (1, 5), (5, 1), (3, 5), (6, 6)]),
+    "matching_union": (lambda copies: [0] * copies + [2] * copies, [(1,), (4,)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FORMER_SPECTRA))
+def test_integer_spectra_equal_the_former_lists(family):
+    former, sizes = _FORMER_SPECTRA[family]
+    for size in sizes:
+        want = sorted(map(float, former(*size)), reverse=True)
+        s = closed_form_spectrum(family, *size)
+        assert s.exact and s.values.tolist() == want, size
 
 
 def test_sine_spectra_equal_the_generator():

@@ -25,7 +25,6 @@ from lapstats.limits import (
     LimitStats,
     clt_distance,
     cone_variance_lower_bound,
-    hypercube_variance_lower_bound,
     llt_distance,
     mean_variance,
     normalized_probabilities,
@@ -336,9 +335,6 @@ class TestPoisson:
 
 
 class TestVarianceBounds:
-    def test_hypercube_three(self):
-        assert hypercube_variance_lower_bound(3) == pytest.approx(6 / 7, rel=1e-15)
-
     def test_regular_substitution(self):
         g = fam("cycle", 10)  # 2-regular, |E| = 10
         assert variance_lower_bound(g) == pytest.approx(10 * 2 / (1 + 4) ** 2, rel=1e-15)
@@ -467,7 +463,7 @@ def reference_poisson_distance(probs, mean: float, k_shift: int) -> float:
 def reference_row(family: str, params: tuple[int, ...]) -> DiagnosticsRow:
     """``diagnose_family``'s row with every statistic recomputed by the
     reference loops, from the same spectrum and probability vector."""
-    row = diagnose_family(family, params)
+    row = diagnose_family(FamilySpec(family, params))
     record = family_record(family)
     s = closed_form_spectrum(family, *params)
     mu, sigma2 = reference_mean_variance(s.values)
@@ -506,7 +502,7 @@ class TestReferenceLoops:
             for mean, shift in ((1.0, 1), (2.0, 1), (2.5, 4)):
                 assert (poisson_distance(given, mean, shift)
                         == reference_poisson_distance(as_list, mean, shift))
-        assert diagnose_family(family, params) == reference_row(family, params)
+        assert diagnose_family(FamilySpec(family, params)) == reference_row(family, params)
 
     @pytest.mark.parametrize("family, params", [
         ("path", (3000,)), ("star", (3000,)), ("complete", (2000,)),
