@@ -48,6 +48,7 @@ from .spectra import (
     cone_spectrum,
     gershgorin_bound,
     join_spectrum,
+    numeric_spectra,
     numeric_spectrum,
     trace_check,
 )

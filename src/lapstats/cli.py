@@ -31,6 +31,11 @@ from .families import (
 )
 from .graphs import Graph, read_edge_list
 
+
+JOBS_HELP = ("accepted for existing invocations and must be >= 1; "
+             "the work runs serially whatever the value")
+
+
 def _ints(flag: str, text: str, sep: str = ",") -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(sep))
@@ -93,12 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sizes; colon-joined values give each size parameter, "
                         "e.g. 10:3,12:3")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     add_output(p)
     p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the invariant corpus; exit 1 on any failure")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", type=Path)
     p.set_defaults(run=cmd_verify)
 

@@ -31,10 +31,12 @@ running entries.
 The work, about P n^4 multiply-adds per matrix for P primes, is checked
 against MAX_CHARPOLY_WORK (``charpoly_guard``) for every graph before any
 matrix is built, and for a named family from its closed-form n and maximum
-degree before the graph is. Independent combinatorial routes (spanning-forest
-sums, matching counts, a fraction-free minor determinant, and the closed-form
-family formulas in ``families``) exist so the pipeline can be cross-checked
-rather than trusted.
+degree before the graph is. Independent combinatorial routes exist so the
+pipeline can be cross-checked rather than trusted: spanning-forest sums by a
+dynamic programme over vertex partitions (``forest_sum_oracle``), matching
+counts by deletion/contraction on edge bitmasks (``matching_counts``), a
+fraction-free minor determinant, and the closed-form family formulas in
+``families``. None of them shares code with the charpoly.
 
 Coefficient vectors are plain lists c[0..n] of nonnegative integers with
 sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.
@@ -52,6 +54,10 @@ from .errors import GuardExceeded, InputError
 from .graphs import Graph, bfs_distances
 
 FOREST_EDGE_GUARD = 24
+# partitions the forest oracle may hold, bounded before it starts by
+# min(Bell(t), 2^|E|) over the t vertices that touch an edge: any graph on at
+# most 9 such vertices (Bell(9) = 21147), or on at most 16 edges
+FOREST_STATE_GUARD = 1 << 16
 MATCHING_EDGE_GUARD = 64
 # no dense n x n matrix is built for more vertices; `stats` on a 4096-vertex
 # edge list peaks near 0.29 GB, the float64 matrix and LAPACK's copy of it
@@ -288,81 +294,101 @@ def signless_coefficients(g: Graph) -> list[int]:
     return signless_coefficients_many([g])[0]
 
 
+def _bell(n: int) -> int:
+    """The number of partitions of an n-set, by the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
 def forest_sum_oracle(g: Graph) -> list[int]:
-    """Coefficients by direct enumeration of spanning forests.
+    """Coefficients as a sum over spanning forests.
 
     A forest with n - k edges contributes the product of its component
-    orders to c[k]; isolated vertices count as components of order 1.
-    Guarded at |E| <= 24 edges, enumeration only visits acyclic subsets.
+    orders to c[k]; isolated vertices count as components of order 1. A
+    dynamic programme over vertex partitions counts the forests: it keeps
+    how many forests of the edges seen so far give each partition of the t
+    vertices that touch an edge, and each edge, in sorted order, either is
+    skipped or merges two blocks. A partition is ``bytes`` mapping each
+    vertex to the smallest vertex of its block, so a merge is one
+    ``bytes.replace``. There are at most min(Bell(t), 2^|E|) partitions;
+    guarded at |E| <= FOREST_EDGE_GUARD and at that many partitions
+    <= FOREST_STATE_GUARD, both before any work.
     """
     if g.edge_count > FOREST_EDGE_GUARD:
         raise GuardExceeded(
             f"forest enumeration guard: {g.edge_count} edges > {FOREST_EDGE_GUARD}"
         )
-    n = g.n
-    edges = sorted(g.edges)
-    parent = list(range(n))
-    size = [1] * n
-    coeffs = [0] * (n + 1)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def visit(i: int, used: int, orders: int) -> None:
-        # orders is the product of the component orders so far
-        if i == len(edges):
-            coeffs[n - used] += orders
-            return
-        visit(i + 1, used, orders)
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            a, b = size[ru], size[rv]
-            parent[rv] = ru
-            size[ru] = a + b
-            # a and b are both factors of orders, so the division is exact
-            visit(i + 1, used + 1, orders // (a * b) * (a + b))
-            size[ru] = a
-            parent[rv] = rv
-
-    visit(0, 0, 1)
+    touched = sorted({v for e in g.edges for v in e})
+    t = len(touched)
+    states = min(_bell(t), 1 << g.edge_count)
+    if states > FOREST_STATE_GUARD:
+        raise GuardExceeded(
+            f"forest partition guard: up to {states} partitions of {t} vertices > {FOREST_STATE_GUARD}"
+        )
+    index = {v: i for i, v in enumerate(touched)}
+    single = [bytes((i,)) for i in range(t)]
+    forests = {bytes(range(t)): 1}
+    for u, v in sorted(g.edges):
+        u, v = index[u], index[v]
+        grown = dict(forests)  # the forests without this edge
+        for part, count in forests.items():
+            a, b = part[u], part[v]
+            if a != b:
+                merged = part.replace(single[b], single[a]) if a < b else \
+                    part.replace(single[a], single[b])
+                grown[merged] = grown.get(merged, 0) + count
+        forests = grown
+    coeffs = [0] * (g.n + 1)
+    isolated = g.n - t
+    for part, count in forests.items():
+        blocks = set(part)
+        coeffs[len(blocks) + isolated] += count * math.prod(map(part.count, blocks))
     return coeffs
 
 
 def matching_counts(g: Graph) -> list[int]:
     """Number of k-matchings for k = 0..floor(n/2).
 
-    Deletion/contraction on an arbitrary edge with memoization on the
-    surviving edge set. Guarded at |E| <= 64 edges.
+    Deletion/contraction on the lowest surviving edge in sorted order,
+    memoized on the surviving edge set as an ``int`` bitmask over the
+    sorted edges: skipping the edge clears its bit, taking it clears the
+    precomputed mask of every edge that touches either endpoint. Guarded at
+    |E| <= 64 edges.
     """
     if g.edge_count > MATCHING_EDGE_GUARD:
         raise GuardExceeded(
             f"matching recursion guard: {g.edge_count} edges > {MATCHING_EDGE_GUARD}"
         )
-    memo: dict[frozenset, tuple[int, ...]] = {}
+    edges = sorted(g.edges)
+    incident = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    touching = [incident[u] | incident[v] for u, v in edges]
+    memo: dict[int, tuple[int, ...]] = {}
 
-    def counts(edges: frozenset) -> tuple[int, ...]:
-        if not edges:
+    def counts(mask: int) -> tuple[int, ...]:
+        if not mask:
             return (1,)
-        cached = memo.get(edges)
+        cached = memo.get(mask)
         if cached is not None:
             return cached
-        u, v = min(edges)
-        rest = edges - {(u, v)}
-        skip = counts(rest)
-        take = counts(frozenset(e for e in rest if u not in e and v not in e))
+        low = mask & -mask
+        skip = counts(mask ^ low)
+        take = counts(mask & ~touching[low.bit_length() - 1])
         out = list(skip) + [0] * max(0, len(take) + 1 - len(skip))
         for i, value in enumerate(take):
             out[i + 1] += value
         result = tuple(out)
-        memo[edges] = result
+        memo[mask] = result
         return result
 
-    raw = counts(g.edges)
+    raw = counts((1 << len(edges)) - 1)
     length = g.n // 2 + 1
     return list(raw) + [0] * (length - len(raw))
 

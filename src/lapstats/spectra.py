@@ -2,7 +2,8 @@
 joins and cones, and eigenvalue bounds.
 
 The numeric solver is LAPACK's symmetric eigensolver through numpy
-``eigvalsh``. Each result must pass a trace certificate (eigenvalue sum
+``eigvalsh``, one call per stack of same-order matrices; a single matrix is
+a stack of one. Each result must pass a trace certificate (eigenvalue sum
 against the matrix trace); the solver fails loudly instead of returning junk.
 The closed-form family spectra in ``families`` are its oracle in ``verify``
 and the tests.
@@ -47,32 +48,53 @@ class Spectrum:
         return len(self.values)
 
 
-def numeric_spectrum(matrix) -> Spectrum:
-    """Eigenvalues of a symmetric integer matrix by LAPACK (numpy ``eigvalsh``).
+def numeric_spectra(stack) -> list[Spectrum]:
+    """Eigenvalues of each symmetric integer matrix of a (B, n, n) stack by
+    one LAPACK call (numpy ``eigvalsh``), in stack order.
 
-    A float64 ndarray, such as the Laplacian builders return, is read without
-    a copy. Every result is certified by its trace: if the eigenvalue sum
-    misses the matrix trace by more than TRACE_TOL * max(1, |trace|), or
-    LAPACK fails, ConvergenceError is raised. Tiny negative results within
-    10 * SNAP_TOL * scale of zero (scale = Frobenius norm of the input) are
-    snapped to 0, since the matrices of interest are positive semi-definite.
+    A float64 ndarray is read without a copy. Every result is certified by
+    its own trace: if a matrix's eigenvalue sum misses its trace by more
+    than TRACE_TOL * max(1, |trace|), or LAPACK fails, ConvergenceError is
+    raised. Tiny negative results within 10 * SNAP_TOL * scale of zero
+    (scale = Frobenius norm of that matrix) are snapped to 0, since the
+    matrices of interest are positive semi-definite. Each spectrum is
+    bit for bit the one a call on its matrix alone gives.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise InputError("matrix must be square")
-    if not np.array_equal(a, a.T):
-        raise InputError("matrix must be symmetric")
+    symmetric = (a == a.swapaxes(1, 2)).all(axis=(1, 2))
+    if not symmetric.all():
+        raise InputError(f"matrix must be symmetric{_member(a, symmetric.argmin())}")
     try:
         values = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigvalsh failed: {exc}") from None
-    trace = float(np.trace(a))
-    residual = abs(math.fsum(values) - trace)
-    # negated so that a NaN residual fails the certificate too
-    if not residual <= TRACE_TOL * max(1.0, abs(trace)):
-        raise ConvergenceError(f"eigenvalue sum misses the trace by {residual:.3e}")
-    snap = 10.0 * SNAP_TOL * float(np.linalg.norm(a))
-    return Spectrum(np.where((-snap < values) & (values < 0.0), 0.0, values))
+    out = []
+    for i, (m, v) in enumerate(zip(a, values)):
+        trace = float(np.trace(m))
+        residual = abs(math.fsum(v) - trace)
+        # negated so that a NaN residual fails the certificate too
+        if not residual <= TRACE_TOL * max(1.0, abs(trace)):
+            raise ConvergenceError(
+                f"eigenvalue sum misses the trace by {residual:.3e}{_member(a, i)}")
+        snap = 10.0 * SNAP_TOL * float(np.linalg.norm(m))
+        out.append(Spectrum(np.where((-snap < v) & (v < 0.0), 0.0, v)))
+    return out
+
+
+def _member(stack: np.ndarray, i) -> str:
+    """Where a failing matrix sits, for a stack of more than one."""
+    return f" (stack member {i})" if len(stack) > 1 else ""
+
+
+def numeric_spectrum(matrix) -> Spectrum:
+    """Eigenvalues of one symmetric integer matrix: ``numeric_spectra`` on a
+    stack of one, with its certificates."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2:
+        raise InputError("matrix must be square")
+    return numeric_spectra(a[None])[0]
 
 
 def _drop_one_zero(s: Spectrum, what: str) -> np.ndarray:

@@ -257,7 +257,7 @@ class TestExitCodes:
         def fake(a):
             if broken == "raises":
                 raise np.linalg.LinAlgError("no convergence")
-            return np.zeros(len(a))
+            return np.zeros(a.shape[:-1])  # a matrix or a stack of them
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fake)
         code, out, err = run_cli(capsys, "spectrum", "--family", "complete_binary_tree",

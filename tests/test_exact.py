@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from lapstats.corpus import corpus_graphs
 from lapstats.errors import GuardExceeded, InputError
 from lapstats.exact import (
+    FOREST_STATE_GUARD,
     charpoly_monic,
     coefficients_from_eigenvalues,
     forest_sum_oracle,
@@ -116,6 +119,77 @@ class TestCoefficients:
         assert c[:3] == [0, 0, 0] and c[3] > 0
 
 
+def _components(n, edges):
+    """Union-find roots after adding ``edges``, or None if one closes a cycle."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return None
+        parent[rv] = ru
+    return [find(x) for x in range(n)]
+
+
+def brute_forest_sum(g):
+    """c[k] by every edge subset: acyclic ones with n - k edges add the
+    product of their component orders."""
+    c = [0] * (g.n + 1)
+    edges = sorted(g.edges)
+    for r in range(len(edges) + 1):
+        for subset in itertools.combinations(edges, r):
+            roots = _components(g.n, subset)
+            if roots is not None:
+                c[g.n - r] += math.prod(roots.count(x) for x in set(roots))
+    return c
+
+
+def brute_matching_counts(g):
+    """k-matchings by every edge subset of size k with disjoint edges."""
+    edges = sorted(g.edges)
+    return [sum(1 for subset in itertools.combinations(edges, k)
+                if len({v for e in subset for v in e}) == 2 * k)
+            for k in range(g.n // 2 + 1)]
+
+
+def seeded_graphs(count, max_n, max_edges):
+    """Seeded random graphs on up to ``max_n`` vertices and ``max_edges``
+    edges, so isolated vertices and several components occur."""
+    rng = random.Random(17)
+    out = [empty_graph(0), empty_graph(3),
+           graph_from_edge_list(7, [(0, 1), (1, 2), (4, 5)]),
+           graph_from_edge_list(8, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7), (4, 7)])]
+    while len(out) < count:
+        n = rng.randint(1, max_n)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = rng.sample(pairs, min(len(pairs), rng.randint(0, max_edges)))
+        out.append(graph_from_edge_list(n, edges))
+    return out
+
+
+class TestOraclesAgainstBruteForce:
+    @pytest.mark.parametrize("g", seeded_graphs(40, 8, 12), ids=lambda g: f"n{g.n}-m{g.edge_count}")
+    def test_forest_sum(self, g):
+        assert forest_sum_oracle(g) == brute_forest_sum(g)
+
+    @pytest.mark.parametrize("g", seeded_graphs(40, 8, 14), ids=lambda g: f"n{g.n}-m{g.edge_count}")
+    def test_matching_counts(self, g):
+        assert matching_counts(g) == brute_matching_counts(g)
+
+    def test_isolated_vertices_beyond_a_byte(self):
+        # each isolated vertex multiplies the polynomial by x; vertices that
+        # touch no edge never enter a partition, so labels past 255 are fine
+        g = graph_from_edge_list(600, [(0, 599), (599, 300), (3, 4)])
+        compact = graph_from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
+        assert forest_sum_oracle(g) == [0] * 595 + brute_forest_sum(compact)
+        assert matching_counts(g) == brute_matching_counts(compact) + [0] * 298
+
+
 class TestForestOracle:
     def test_k3_tree_count_term(self):
         assert forest_sum_oracle(fam("complete", 3))[1] == 9
@@ -133,8 +207,29 @@ class TestForestOracle:
             assert forest_sum_oracle(g) == laplacian_coefficients(g)
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(GuardExceeded, match="forest enumeration guard"):
             forest_sum_oracle(fam("complete", 8))  # 28 edges
+
+    def test_partition_guard_boundary(self):
+        # path 17 has 2^16 edge subsets, at the partition guard; path 18 has
+        # twice that on 18 vertices, Bell(18) partitions, and is refused
+        assert forest_sum_oracle(fam("path", 17)) == closed_form_coefficients("path", 17)
+        assert FOREST_STATE_GUARD == 1 << 16
+        with pytest.raises(GuardExceeded, match="partition guard"):
+            forest_sum_oracle(fam("path", 18))
+
+    def test_partition_guard_refuses_before_work(self):
+        # the DP on path 18 would hold 2^17 partitions, tens of MB
+        dense10 = graph_from_edge_list(10, list(itertools.combinations(range(10), 2))[:24])
+        for g in (fam("path", 18), fam("path", 25), dense10):  # Bell(10) = 115975
+            tracemalloc.start()
+            try:
+                with pytest.raises(GuardExceeded, match="partition guard"):
+                    forest_sum_oracle(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
 
 
 class TestMatchings:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lapstats import cli
+from lapstats import cli, limits
 from lapstats.corpus import _FAMILY_MEMBERS, corpus_graphs
 from lapstats.diagnostics import DiagnosticsRow, diagnose_family
 from lapstats.errors import InputError
@@ -503,6 +503,24 @@ class TestReferenceLoops:
                 assert (poisson_distance(given, mean, shift)
                         == reference_poisson_distance(as_list, mean, shift))
         assert diagnose_family(FamilySpec(family, params)) == reference_row(family, params)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 3002, limits.LIBM_BLOCK])
+    def test_libm_blocks_keep_the_bits(self, monkeypatch, block):
+        # path 3000 has 3001 cells and llt 3002 grid points: blocks that
+        # split both, end exactly on them, and hold them whole
+        monkeypatch.setattr(limits, "LIBM_BLOCK", block)
+        widest = []
+        for name in ("_erfc", "_exp"):
+            ufunc = getattr(limits, name)
+            monkeypatch.setattr(limits, name,
+                                lambda x, ufunc=ufunc: widest.append(len(x)) or ufunc(x))
+        s = closed_form_spectrum("path", 3000)
+        stats = mean_variance(s)
+        probs = probabilities_from_spectrum(s)
+        as_list = probs.tolist()
+        assert clt_distance(probs, stats) == reference_clt_distance(as_list, stats)
+        assert llt_distance(probs, stats) == reference_llt_distance(as_list, stats)
+        assert max(widest) == min(block, 3002)
 
     @pytest.mark.parametrize("family, params", [
         ("path", (3000,)), ("star", (3000,)), ("complete", (2000,)),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lapstats import cli
+from lapstats.corpus import corpus_graphs
 from lapstats.errors import ConvergenceError, InputError
 from lapstats.exact import coefficients_from_eigenvalues, laplacian_coefficients, laplacian_matrix
 from lapstats.families import FamilySpec, closed_form_spectrum, make_family, random_regular
@@ -16,6 +17,7 @@ from lapstats.spectra import (
     cone_spectrum,
     gershgorin_bound,
     join_spectrum,
+    numeric_spectra,
     numeric_spectrum,
     trace_check,
 )
@@ -55,6 +57,10 @@ class TestNumericSolver:
         with pytest.raises(InputError, match="symmetric"):
             numeric_spectrum([[0, 1], [2, 0]])
 
+    def test_a_stack_is_not_one_matrix(self):
+        with pytest.raises(InputError, match="square"):
+            numeric_spectrum(np.zeros((1, 2, 2)))
+
     def test_no_negative_eigenvalues_after_clamp(self):
         for g in (fam("wheel", 9), fam("complete", 12), fam("hypercube", 4)):
             assert all(v >= 0.0 for v in lap_spectrum(g).values)
@@ -84,12 +90,65 @@ class TestNumericSolver:
     def test_snap_matches_per_value_rule(self, monkeypatch):
         # -0.0 stays, tiny negatives become 0.0, larger ones and positives stay
         raw = np.array([-1e-3, -1e-13, -0.0, 0.0, 1e-13, 2.0 - 1e-3, 2.0])
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: raw)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.broadcast_to(raw, a.shape[:-1]))
         a = np.diag([0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0 - 2e-3])  # trace = sum(raw)
         snap = 10.0 * SNAP_TOL * float(np.linalg.norm(a))
         want = sorted((0.0 if -snap < v < 0.0 else v for v in raw.tolist()), reverse=True)
         got = numeric_spectrum(a).values.tolist()
         assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def _corpus_laplacians_by_order():
+    by_order = {}
+    for _, g in corpus_graphs():
+        by_order.setdefault(g.n, []).append(laplacian_matrix(g))
+    return by_order
+
+
+class TestStackedSolver:
+    def test_corpus_stacks_equal_per_matrix_calls_bit_for_bit(self):
+        for mats in _corpus_laplacians_by_order().values():
+            stack = np.stack(mats)
+            stacked = numeric_spectra(stack)
+            assert len(stacked) == len(mats)
+            for m, raw, s in zip(mats, np.linalg.eigvalsh(stack), stacked):
+                assert raw.tobytes() == np.linalg.eigvalsh(m).tobytes()
+                assert s.values.tobytes() == numeric_spectrum(m).values.tobytes()
+
+    def test_per_matrix_certificates_against_raw_lapack(self):
+        mats = _corpus_laplacians_by_order()[7]
+        for m, s in zip(mats, numeric_spectra(np.stack(mats))):
+            raw = np.linalg.eigvalsh(m)
+            snap = 10.0 * SNAP_TOL * float(np.linalg.norm(m))
+            want = sorted((0.0 if -snap < v < 0.0 else v for v in raw.tolist()), reverse=True)
+            assert [repr(v) for v in s.values.tolist()] == [repr(v) for v in want]
+
+    def test_one_non_symmetric_member_rejected(self):
+        stack = np.stack([laplacian_matrix(fam("path", 4)) for _ in range(3)])
+        stack[1, 0, 3] = 5.0
+        with pytest.raises(InputError, match="symmetric.*stack member 1"):
+            numeric_spectra(stack)
+
+    def test_one_trace_miss_is_convergence_error(self, monkeypatch):
+        real = np.linalg.eigvalsh
+
+        def miss_second(a):
+            values = real(a)
+            values[2] += 1e-6
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", miss_second)
+        stack = np.stack([laplacian_matrix(fam("cycle", 5)) for _ in range(4)])
+        with pytest.raises(ConvergenceError, match="trace.*stack member 2"):
+            numeric_spectra(stack)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (1, 2, 2, 2)])
+    def test_not_a_stack_of_square_matrices(self, shape):
+        with pytest.raises(InputError, match="square"):
+            numeric_spectra(np.zeros(shape))
+
+    def test_empty_stack(self):
+        assert numeric_spectra(np.zeros((0, 4, 4))) == []
 
 
 class TestFromValues:
