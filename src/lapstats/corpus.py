@@ -7,9 +7,10 @@ to 12 for the coefficient sandwich), and 10 seeded random regular graphs for
 coefficients are computed once per run, by one stacked exact charpoly per
 vertex count over the corpus and the extra trees, and shared by every check
 that needs them; the bipartite signless check stacks its graphs the same
-way. Numeric spectra are stacked by order too, one certified ``eigvalsh``
-call per order for the corpus Laplacians, the cone Laplacians and the
-closed-form spectrum cases, each bit for bit what a call per matrix gives.
+way. The corpus Laplacians, the cone Laplacians and the closed-form
+spectrum cases each go to ``spectra.numeric_spectra`` as one list, which
+stacks them by order itself: one certified ``eigvalsh`` call per order, each
+spectrum bit for bit what a call per matrix gives.
 Checks return one pass/fail line each and never depend on execution order.
 """
 
@@ -119,24 +120,12 @@ def _corpus() -> _Corpus:
     matrices = [exact.laplacian_matrix(g) for _, g in everything]
     coeffs = dict(zip((label for label, _ in everything),
                       exact.laplacian_coefficients_many([g for _, g in everything], matrices)))
+    numeric = spectra.numeric_spectra(matrices[:len(graphs)])
     bundles = [
         _Bundle(label=label, graph=g, coeffs=coeffs[label], spectrum=s, laplacian=lap)
-        for (label, g), lap, s in zip(graphs, matrices, _spectra(matrices[:len(graphs)]))
+        for (label, g), lap, s in zip(graphs, matrices, numeric)
     ]
     return _Corpus(bundles, trees, coeffs)
-
-
-def _spectra(matrices: list[np.ndarray]) -> list[spectra.Spectrum]:
-    """The numeric spectrum of each square matrix, in input order, by one
-    ``numeric_spectra`` stack per order."""
-    by_order: dict[int, list[int]] = {}
-    for i, m in enumerate(matrices):
-        by_order.setdefault(len(m), []).append(i)
-    out: list[spectra.Spectrum] = [None] * len(matrices)
-    for members in by_order.values():
-        for i, s in zip(members, spectra.numeric_spectra(np.stack([matrices[i] for i in members]))):
-            out[i] = s
-    return out
 
 
 def _fail(name: str, label: str, what: str) -> CheckResult:
@@ -263,8 +252,9 @@ _SPECTRUM_CASES = (
 
 def _check_closed_vs_numeric_spectra(corpus: _Corpus) -> CheckResult:
     name = "closed-form vs numeric spectra"
-    numeric = _spectra([exact.laplacian_matrix(make_family(FamilySpec(family, params)))
-                        for family, params in _SPECTRUM_CASES])
+    numeric = spectra.numeric_spectra(
+        [exact.laplacian_matrix(make_family(FamilySpec(family, params)))
+         for family, params in _SPECTRUM_CASES])
     for (family, params), got in zip(_SPECTRUM_CASES, numeric):
         want = closed_form_spectrum(family, *params)
         gap = max(abs(a - b) for a, b in zip(want.values, got.values))
@@ -318,8 +308,9 @@ def _check_cone_transform(corpus: _Corpus) -> CheckResult:
     name = "cone spectrum transform"
     cases = [(b.label, b.laplacian, b.spectrum) for b in corpus.bundles if 1 <= b.graph.n <= 12]
     cycles = [exact.laplacian_matrix(make_family(FamilySpec("cycle", (n,)))) for n in (15, 25, 40)]
-    cases += [(f"cycle-{len(lap)}", lap, s) for lap, s in zip(cycles, _spectra(cycles))]
-    cones = _spectra([_cone_laplacian(lap) for _, lap, _ in cases])
+    cases += [(f"cycle-{len(lap)}", lap, s)
+              for lap, s in zip(cycles, spectra.numeric_spectra(cycles))]
+    cones = spectra.numeric_spectra([_cone_laplacian(lap) for _, lap, _ in cases])
     for (label, lap, s), want in zip(cases, cones):
         got = spectra.cone_spectrum(s, len(lap))
         gap = max(abs(a - b) for a, b in zip(got.values, want.values))

@@ -230,7 +230,8 @@ def charpoly_monic(matrix: list[list[int]] | np.ndarray) -> list[int]:
     n = len(matrix)
     if n > MAX_CHARPOLY_SCALE:  # refused before n^2 Python steps of row sums
         raise GuardExceeded(f"exact charpoly guard: n = {n} > {MAX_CHARPOLY_SCALE}")
-    if any(len(row) != n for row in matrix):
+    # a row that is a number or a matrix is refused before any row is summed
+    if any(np.ndim(row) != 1 or len(row) != n for row in matrix):
         raise InputError("matrix must be square")
     # the row sums are guarded before any entry becomes a float, so an entry
     # too large for float64 is refused, not overflowed

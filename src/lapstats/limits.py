@@ -8,7 +8,8 @@ do not overflow. The spectrum's moments and probabilities read its read-only
 float64 array as it is, with no copy. The probabilities are the Poisson-binomial
 law of the eigenvalues, multiplied out by a balanced product tree of its linear
 factors with FFT products, and stay one float64 array through the distances,
-which return Python floats bit-identical to a per-k loop.
+which return Python floats bit-identical to a per-k loop: libm's erfc and exp
+run as one streaming map into a float64 array, a call per element.
 """
 
 from __future__ import annotations
@@ -112,22 +113,12 @@ def probabilities_from_spectrum(s: Spectrum) -> np.ndarray:
     return probs / probs.sum()
 
 
-# math.erfc and math.exp elementwise: numpy has no erfc, and its exp is not
-# bit-identical to libm's
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-_exp = np.frompyfunc(math.exp, 1, 1)
-# elements per object array of Python floats that ``_libm`` holds at a time
-LIBM_BLOCK = 1 << 14
-
-
-def _libm(ufunc, x: np.ndarray) -> np.ndarray:
-    """A libm ufunc of ``_erfc``/``_exp`` applied to a float64 array, block by
-    block into a float64 array, so no object array longer than LIBM_BLOCK is
-    ever made; each element is one libm call either way."""
-    out = np.empty_like(x)
-    for start in range(0, len(x), LIBM_BLOCK):
-        out[start:start + LIBM_BLOCK] = ufunc(x[start:start + LIBM_BLOCK])
-    return out
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``math.erfc`` or ``math.exp`` on each element of a float64 array, into
+    a float64 array: numpy has no erfc, and its exp is not bit-identical to
+    libm's. One libm call per element, streamed through ``map``, so no
+    object array is ever made."""
+    return np.fromiter(map(f, x), float, len(x))
 
 
 def clt_distance(probs, stats: LimitStats) -> float:
@@ -141,7 +132,7 @@ def clt_distance(probs, stats: LimitStats) -> float:
         raise InputError("degenerate variance")
     cdf = np.cumsum(np.concatenate(([0.0], probs)))  # cdf[k] sums p[:k] in k order
     z = (np.arange(len(probs), dtype=float) - stats.mu) / stats.sigma
-    gauss = 0.5 * _libm(_erfc, -z / math.sqrt(2.0))
+    gauss = 0.5 * _libm(math.erfc, -z / math.sqrt(2.0))
     gaps = np.maximum(np.abs(cdf[1:] - gauss), np.abs(cdf[:-1] - gauss))
     return float(np.max(gaps, initial=0.0))
 
@@ -161,7 +152,7 @@ def llt_distance(probs, stats: LimitStats) -> float:
     n = len(probs) - 1
     padded = np.concatenate(([0.0], probs, [0.0]))  # p[k-1] and p[k] for k = 0..n+1
     x = (np.arange(n + 2, dtype=float) - stats.mu) / sigma
-    density = _libm(_exp, -0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    density = _libm(math.exp, -0.5 * x * x) / math.sqrt(2.0 * math.pi)
     worst = float(np.max(np.maximum(np.abs(sigma * padded[1:] - density),
                                     np.abs(sigma * padded[:-1] - density))))
     mode_cell = math.floor(stats.mu)

@@ -2,8 +2,9 @@
 joins and cones, and eigenvalue bounds.
 
 The numeric solver is LAPACK's symmetric eigensolver through numpy
-``eigvalsh``, one call per stack of same-order matrices; a single matrix is
-a stack of one. Each result must pass a trace certificate (eigenvalue sum
+``eigvalsh``: ``numeric_spectra`` takes matrices of any orders and stacks
+them by order itself, one call per order, and a single matrix is a sequence
+of one. Each result must pass a trace certificate (eigenvalue sum
 against the matrix trace); the solver fails loudly instead of returning junk.
 The closed-form family spectra in ``families`` are its oracle in ``verify``
 and the tests.
@@ -48,53 +49,57 @@ class Spectrum:
         return len(self.values)
 
 
-def numeric_spectra(stack) -> list[Spectrum]:
-    """Eigenvalues of each symmetric integer matrix of a (B, n, n) stack by
-    one LAPACK call (numpy ``eigvalsh``), in stack order.
+def numeric_spectra(matrices) -> list[Spectrum]:
+    """Eigenvalues of each symmetric integer matrix of a sequence, of any
+    orders (a (B, n, n) array is a sequence of B), in input order, by one
+    LAPACK call (numpy ``eigvalsh``) per order.
 
-    A float64 ndarray is read without a copy. Every result is certified by
-    its own trace: if a matrix's eigenvalue sum misses its trace by more
-    than TRACE_TOL * max(1, |trace|), or LAPACK fails, ConvergenceError is
+    Same-order matrices are stacked; a float64 matrix alone at its order is
+    read as a view, with no copy. Every result is certified by its own
+    trace: if a matrix's eigenvalue sum misses its trace by more than
+    TRACE_TOL * max(1, |trace|), or LAPACK fails, ConvergenceError is
     raised. Tiny negative results within 10 * SNAP_TOL * scale of zero
     (scale = Frobenius norm of that matrix) are snapped to 0, since the
-    matrices of interest are positive semi-definite. Each spectrum is
-    bit for bit the one a call on its matrix alone gives.
+    matrices of interest are positive semi-definite. Each spectrum is bit
+    for bit the one a call on its matrix alone gives.
     """
-    a = np.asarray(stack, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise InputError("matrix must be square")
-    symmetric = (a == a.swapaxes(1, 2)).all(axis=(1, 2))
-    if not symmetric.all():
-        raise InputError(f"matrix must be symmetric{_member(a, symmetric.argmin())}")
-    try:
-        values = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK eigvalsh failed: {exc}") from None
-    out = []
-    for i, (m, v) in enumerate(zip(a, values)):
-        trace = float(np.trace(m))
-        residual = abs(math.fsum(v) - trace)
-        # negated so that a NaN residual fails the certificate too
-        if not residual <= TRACE_TOL * max(1.0, abs(trace)):
-            raise ConvergenceError(
-                f"eigenvalue sum misses the trace by {residual:.3e}{_member(a, i)}")
-        snap = 10.0 * SNAP_TOL * float(np.linalg.norm(m))
-        out.append(Spectrum(np.where((-snap < v) & (v < 0.0), 0.0, v)))
+    mats = [np.asarray(m, dtype=float) for m in matrices]
+    by_order: dict[int, list[int]] = {}
+    for i, m in enumerate(mats):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InputError(f"matrix must be square{_member(mats, i)}")
+        if not (m == m.T).all():
+            raise InputError(f"matrix must be symmetric{_member(mats, i)}")
+        by_order.setdefault(len(m), []).append(i)
+    out: list[Spectrum] = [None] * len(mats)
+    for members in by_order.values():
+        stack = np.stack([mats[i] for i in members]) if len(members) > 1 else mats[members[0]][None]
+        try:
+            values = np.linalg.eigvalsh(stack)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"LAPACK eigvalsh failed: {exc}") from None
+        for i, v in zip(members, values):
+            m = mats[i]
+            trace = float(np.trace(m))
+            residual = abs(math.fsum(v) - trace)
+            # negated so that a NaN residual fails the certificate too
+            if not residual <= TRACE_TOL * max(1.0, abs(trace)):
+                raise ConvergenceError(
+                    f"eigenvalue sum misses the trace by {residual:.3e}{_member(mats, i)}")
+            snap = 10.0 * SNAP_TOL * float(np.linalg.norm(m))
+            out[i] = Spectrum(np.where((-snap < v) & (v < 0.0), 0.0, v))
     return out
 
 
-def _member(stack: np.ndarray, i) -> str:
-    """Where a failing matrix sits, for a stack of more than one."""
-    return f" (stack member {i})" if len(stack) > 1 else ""
+def _member(matrices: list, i: int) -> str:
+    """Where a failing matrix sits in the input, when there is more than one."""
+    return f" (stack member {i})" if len(matrices) > 1 else ""
 
 
 def numeric_spectrum(matrix) -> Spectrum:
     """Eigenvalues of one symmetric integer matrix: ``numeric_spectra`` on a
-    stack of one, with its certificates."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise InputError("matrix must be square")
-    return numeric_spectra(a[None])[0]
+    sequence of one, with its certificates."""
+    return numeric_spectra([matrix])[0]
 
 
 def _drop_one_zero(s: Spectrum, what: str) -> np.ndarray:

@@ -38,6 +38,22 @@ def test_verify_computes_each_charpoly_once(monkeypatch):
     assert sum(count for _, _, count in calls) == 516
 
 
+def test_verify_stacks_its_numeric_spectra_by_order(monkeypatch):
+    stacks = []
+    real = np.linalg.eigvalsh
+
+    def counted(a):
+        stacks.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert all(r.ok for r in run_verification())
+    # one stack per order for the corpus Laplacians (orders 1..12), the
+    # closed-form spectrum cases and the cone Laplacians
+    assert len(stacks) == 42
+    assert sum(stacks) == 546
+
+
 def test_corpus_labels_are_unique():
     labels = [label for label, _ in corpus_graphs()]
     assert len(labels) == len(set(labels)) == 254

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from lapstats.corpus import corpus_graphs
@@ -94,6 +95,12 @@ class TestCharpoly:
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
             charpoly_monic([[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize("matrix", [np.array([1, 2]), [1, 2], np.zeros((2, 2, 2))],
+                             ids=["vector", "list", "stack"])
+    def test_rejects_non_matrix_before_summing_rows(self, matrix):
+        with pytest.raises(InputError, match="square"):
+            charpoly_monic(matrix)
 
 
 class TestCoefficients:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -504,23 +505,25 @@ class TestReferenceLoops:
                         == reference_poisson_distance(as_list, mean, shift))
         assert diagnose_family(FamilySpec(family, params)) == reference_row(family, params)
 
-    @pytest.mark.parametrize("block", [1, 7, 1000, 3002, limits.LIBM_BLOCK])
-    def test_libm_blocks_keep_the_bits(self, monkeypatch, block):
-        # path 3000 has 3001 cells and llt 3002 grid points: blocks that
-        # split both, end exactly on them, and hold them whole
-        monkeypatch.setattr(limits, "LIBM_BLOCK", block)
-        widest = []
-        for name in ("_erfc", "_exp"):
-            ufunc = getattr(limits, name)
-            monkeypatch.setattr(limits, name,
-                                lambda x, ufunc=ufunc: widest.append(len(x)) or ufunc(x))
-        s = closed_form_spectrum("path", 3000)
-        stats = mean_variance(s)
-        probs = probabilities_from_spectrum(s)
-        as_list = probs.tolist()
-        assert clt_distance(probs, stats) == reference_clt_distance(as_list, stats)
-        assert llt_distance(probs, stats) == reference_llt_distance(as_list, stats)
-        assert max(widest) == min(block, 3002)
+    @pytest.mark.parametrize("f", [math.erfc, math.exp], ids=["erfc", "exp"])
+    def test_libm_keeps_the_bits_and_holds_only_its_output(self, f):
+        # both signs, zeros, tiny and huge magnitudes, NaN and infinities
+        # (no exp argument reaches libm's overflow at 709.8)
+        rng = np.random.default_rng(19)
+        x = rng.uniform(-40.0, 40.0, 1 << 16)
+        x[:9] = (0.0, -0.0, 5e-324, -1e-300, 1e-9, -700.0, np.nan, -np.inf, np.inf)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = limits._libm(f, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([f(v) for v in x.tolist()]).tobytes()
+        # the float64 output and at most 64 KiB besides: no array of Python
+        # floats, whole or in blocks
+        assert peak <= got.nbytes + (64 << 10)
 
     @pytest.mark.parametrize("family, params", [
         ("path", (3000,)), ("star", (3000,)), ("complete", (2000,)),

@@ -151,6 +151,64 @@ class TestStackedSolver:
         assert numeric_spectra(np.zeros((0, 4, 4))) == []
 
 
+class TestMixedOrders:
+    def test_shuffled_corpus_equals_per_matrix_calls_bit_for_bit(self):
+        mats = [laplacian_matrix(g) for _, g in corpus_graphs()]
+        shuffled = [mats[i] for i in np.random.default_rng(5).permutation(len(mats))]
+        got = numeric_spectra(shuffled)
+        assert len(got) == len(shuffled)
+        assert len({len(m) for m in shuffled}) > 1
+        for m, s in zip(shuffled, got):
+            assert s.values.tobytes() == numeric_spectrum(m).values.tobytes()
+
+    def _mixed(self):
+        # orders 4, 5, 4, 5, 6: input 3 is member 1 of the order-5 stack
+        return [laplacian_matrix(fam(name, n)) for name, n in
+                (("path", 4), ("cycle", 5), ("star", 4), ("path", 5), ("wheel", 5))]
+
+    def test_non_square_member_named_by_input_index(self):
+        mats = self._mixed()
+        mats[2] = mats[2][:, :3]
+        with pytest.raises(InputError, match=r"square \(stack member 2\)"):
+            numeric_spectra(mats)
+
+    def test_non_symmetric_member_named_by_input_index(self):
+        mats = self._mixed()
+        mats[3][0, 4] = 5.0
+        with pytest.raises(InputError, match=r"symmetric \(stack member 3\)"):
+            numeric_spectra(mats)
+
+    def test_trace_miss_named_by_input_index(self, monkeypatch):
+        real = np.linalg.eigvalsh
+
+        def miss_in_order_5(a):
+            values = real(a)
+            if a.shape[1] == 5:
+                values[1] += 1e-6
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", miss_in_order_5)
+        with pytest.raises(ConvergenceError, match=r"trace.*\(stack member 3\)"):
+            numeric_spectra(self._mixed())
+
+    def test_lone_matrix_reaches_lapack_as_a_view(self, monkeypatch):
+        real = np.linalg.eigvalsh
+        mats = self._mixed()
+        shapes = []
+
+        def view_if_alone(a):
+            shapes.append(a.shape)
+            if len(a) == 1:
+                assert any(np.shares_memory(a, m) for m in mats)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", view_if_alone)
+        numeric_spectra(mats)
+        assert shapes == [(2, 4, 4), (2, 5, 5), (1, 6, 6)]
+        numeric_spectrum(mats[4])
+        assert shapes[-1] == (1, 6, 6)
+
+
 class TestFromValues:
     def test_ties_keep_sorted_order(self):
         # 0.0 and -0.0 compare equal: both orders must match sorted()'s
