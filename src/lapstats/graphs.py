@@ -127,10 +127,6 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
 # basic statistics
 
 
-def edge_count(g: Graph) -> int:
-    return g.edge_count
-
-
 def max_degree(g: Graph) -> int:
     return g.max_degree
 

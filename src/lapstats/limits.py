@@ -97,6 +97,7 @@ def probabilities_from_spectrum(s: Spectrum) -> np.ndarray:
         return np.ones(1)  # the empty product
     p = 1.0 / (1.0 + lam)
     rows = np.stack((lam * p, p), axis=1)  # row i holds q_i + p_i x
+    del p  # each buffer is dropped once the next one holds its values
     while len(rows) > 1:
         if len(rows) % 2:  # pad with the polynomial 1
             rows = np.vstack((rows, np.eye(1, rows.shape[1])))
@@ -106,7 +107,11 @@ def probabilities_from_spectrum(s: Spectrum) -> np.ndarray:
         fft_len = 2 * rows.shape[1] - 2
         top = rows[0::2, -1] * rows[1::2, -1]
         level = np.fft.rfft(rows, fft_len)
-        wrapped = np.fft.irfft(level[0::2] * level[1::2], fft_len)
+        del rows
+        even = level[0::2]
+        even *= level[1::2]  # in place: the same products, no second buffer
+        wrapped = np.fft.irfft(even, fft_len)
+        del level, even
         wrapped[:, 0] -= top
         rows = np.column_stack((wrapped, top))
     probs = np.clip(rows[0, :lam.size + 1], 0.0, None)

@@ -8,8 +8,6 @@ and repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 from contextlib import contextmanager
@@ -27,10 +25,10 @@ def _dump_json(obj) -> str:
 
 
 def _csv_text(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+    """Cells joined as they are: every cell is a decimal integer, a float
+    repr, a column, family or verdict name, or empty, none of which CSV
+    quotes."""
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _cell(value) -> str:

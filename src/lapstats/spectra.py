@@ -63,9 +63,13 @@ def numeric_spectra(matrices) -> list[Spectrum]:
     matrices of interest are positive semi-definite. Each spectrum is bit
     for bit the one a call on its matrix alone gives.
     """
-    mats = [np.asarray(m, dtype=float) for m in matrices]
+    mats = list(matrices)
     by_order: dict[int, list[int]] = {}
     for i, m in enumerate(mats):
+        try:
+            m = mats[i] = np.asarray(m, dtype=float)
+        except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
+            raise InputError(f"matrix must be an array of numbers{_member(mats, i)}") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"matrix must be square{_member(mats, i)}")
         if not (m == m.T).all():

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -175,3 +177,32 @@ class TestPythonFloatsOnly:
             assert s.values.dtype == np.float64 and not s.values.flags.writeable
             assert bool(np.all(s.values[:-1] >= s.values[1:]))
             assert "np." not in serialize.spectrum_csv(s) + serialize.spectrum_json(s, 0.0)
+
+
+def _csv_writer_text(table: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(table)
+    return buf.getvalue()
+
+
+def test_csv_join_equals_csv_writer(monkeypatch):
+    """The CSV encoders join cells without quoting; on every table they build,
+    the bytes are those of ``csv.writer``."""
+    tables = []
+    join = serialize._csv_text
+    monkeypatch.setattr(serialize, "_csv_text", lambda table: tables.append(table) or join(table))
+    stats = mean_variance(closed_form_spectrum("cycle", 10))
+    rows = TestPythonFloatsOnly()._rows()
+    outputs = [
+        serialize.coefficients_csv(closed_form_coefficients("path", 300)),
+        serialize.spectrum_csv(closed_form_spectrum("wheel", 30)),
+        serialize.stats_csv({"family": None, "n": 10, "mu": stats.mu, "sigma2": stats.sigma2}),
+        serialize.rows_csv(rows),
+    ]
+    assert len(tables) == len(outputs)
+    for table, text in zip(tables, outputs):
+        assert text == _csv_writer_text(table)
+    # an empty family cell, and an optional column empty in some rows only
+    assert tables[2][1][0] == ""
+    column = tables[3][0].index("poisson_distance")
+    assert {row[column] == "" for row in tables[3][1:]} == {True, False}

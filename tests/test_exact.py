@@ -103,6 +103,18 @@ class TestCharpoly:
             charpoly_monic(matrix)
 
 
+@pytest.mark.parametrize("route, matrix", [
+    (numeric_spectrum, [[1, 2], [3]]),
+    (numeric_spectrum, [[1, "ab"], ["ab", 2]]),
+    (charpoly_monic, [[[1, 2], [3]], [[1], [2]]]),
+    (charpoly_monic, [[1, "ab"], [1, 2]]),
+], ids=["spectrum-ragged", "spectrum-text", "charpoly-ragged", "charpoly-text"])
+def test_malformed_nested_input_is_an_input_error(route, matrix):
+    # an InputError, which the CLI maps to exit 2, not an error from numpy or a builtin
+    with pytest.raises(InputError, match="^matrix"):
+        route(matrix)
+
+
 class TestCoefficients:
     def test_k3(self):
         # x(x-3)^2 expanded, unsigned

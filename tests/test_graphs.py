@@ -1,6 +1,12 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import lapstats
 from lapstats.errors import InputError
 from lapstats.families import FamilySpec, make_family, random_regular, random_tree
 from lapstats.graphs import (
@@ -207,3 +213,18 @@ class TestEdgeListFormat:
     def test_garbage_rejected(self):
         with pytest.raises(InputError):
             parse_edge_list("two vertices\n0 1\n")
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("lapstats", {"lapstats"}),
+    ("lapstats.graphs", {"lapstats", "lapstats.errors", "lapstats.graphs"}),
+], ids=["package", "graphs"])
+def test_import_loads_no_numpy_and_no_other_module(module, allowed):
+    """The package re-exports nothing, so importing it loads no submodule,
+    and the graph layer runs without numpy."""
+    src = str(Path(lapstats.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}, json; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('lapstats', 'numpy')))))")
+    loaded = json.loads(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                       text=True, check=True).stdout)
+    assert set(loaded) <= allowed

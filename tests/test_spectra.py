@@ -172,6 +172,12 @@ class TestMixedOrders:
         with pytest.raises(InputError, match=r"square \(stack member 2\)"):
             numeric_spectra(mats)
 
+    def test_ragged_member_named_by_input_index(self):
+        mats = self._mixed()
+        mats[4] = [[1, 2], [3]]
+        with pytest.raises(InputError, match=r"numbers \(stack member 4\)"):
+            numeric_spectra(mats)
+
     def test_non_symmetric_member_named_by_input_index(self):
         mats = self._mixed()
         mats[3][0, 4] = 5.0
