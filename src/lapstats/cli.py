@@ -7,9 +7,10 @@ environment variables are consulted.
 
 Each command reads the parsed arguments once ``_check`` has parsed --n and
 --ladder. ``_input`` reads an edge list or names a family member as a
-``FamilySpec``, not built; ``_graph`` builds one only after the spec's closed
-forms pass the guards of the route it feeds, so an over-budget family exits
-3 before any graph is built.
+``FamilySpec``, not built; ``families`` takes it by the closed form wherever
+the family has one and otherwise builds it only once the spec's closed forms
+pass the guards of the route it feeds, so an over-budget family exits 3
+before any graph is built.
 """
 
 from __future__ import annotations
@@ -19,16 +20,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import diagnostics, exact, limits, serialize, spectra
+from . import diagnostics, limits, serialize, spectra
 from .corpus import run_verification
 from .errors import ConvergenceError, GuardExceeded, InputError
-from .families import (
-    FAMILIES,
-    FamilySpec,
-    closed_form_coefficients,
-    family_member,
-    make_family,
-)
+from .families import FAMILIES, FamilySpec, family_coefficients, family_member
 from .graphs import Graph, read_edge_list
 
 
@@ -64,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="seed, required for random families")
         if closed_form:
             p.add_argument("--closed-form", action="store_true",
-                           help="use the closed-form family formula instead of the exact pipeline")
+                           help="require the family's closed form, which is used wherever "
+                                "one exists; exit 2 if there is none")
 
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -129,8 +125,9 @@ def _check(args: argparse.Namespace) -> None:
                 raise InputError("--closed-form has no signless variant")
             if args.family is None:
                 raise InputError("--closed-form needs a --family")
-            if args.command == "spectrum" and FAMILIES[args.family].spectrum is None:
-                raise InputError("--closed-form needs a supported --family")
+            what = "spectrum" if args.command == "spectrum" else "coefficients"
+            if getattr(FAMILIES[args.family], what) is None:
+                raise InputError(f"--closed-form: no closed-form {what} for family {args.family!r}")
     elif args.command == "sweep":
         args.ladder = _ladder(args.ladder)
 
@@ -140,19 +137,6 @@ def _input(args: argparse.Namespace) -> Graph | FamilySpec:
     if args.edge_list is not None:
         return read_edge_list(args.edge_list)
     return FamilySpec(args.family, args.n, args.seed)
-
-
-def _graph(args: argparse.Namespace, charpoly: bool = False) -> Graph:
-    """The edge list as read, or the family member, built only once the
-    spec's n passes the dense guard and, with ``charpoly`` and a known
-    maximum degree, the exact-charpoly guard."""
-    source = _input(args)
-    if isinstance(source, Graph):
-        return source
-    if charpoly and source.max_degree is not None:
-        exact.charpoly_guard(source.n, source.max_degree)
-    exact.dense_guard(source.n)
-    return make_family(source)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -166,23 +150,14 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
-    if args.closed_form:
-        coeffs = closed_form_coefficients(args.family, *args.n)
-    else:
-        g = _graph(args, charpoly=True)
-        coeffs = exact.signless_coefficients(g) if args.signless else exact.laplacian_coefficients(g)
+    coeffs = family_coefficients(_input(args), args.signless)
     text = serialize.coefficients_json(coeffs) if args.format == "json" else serialize.coefficients_csv(coeffs)
     _emit(args, text)
     return 0
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.closed_form:
-        g, s = family_member(_input(args))
-    else:
-        g = _graph(args)
-        matrix = exact.signless_laplacian_matrix(g) if args.signless else exact.laplacian_matrix(g)
-        s = spectra.numeric_spectrum(matrix)
+    g, s = family_member(_input(args), args.signless)
     residual = spectra.trace_check(s, g)
     text = serialize.spectrum_json(s, residual) if args.format == "json" else serialize.spectrum_csv(s)
     _emit(args, text)

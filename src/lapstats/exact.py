@@ -227,21 +227,21 @@ def charpoly_monic(matrix: list[list[int]] | np.ndarray) -> list[int]:
     integer matrix within the guard, given as rows or as an ndarray such as
     the Laplacian builders return, and certified by its top two coefficients.
     """
-    n = len(matrix)
-    if n > MAX_CHARPOLY_SCALE:  # refused before n^2 Python steps of row sums
-        raise GuardExceeded(f"exact charpoly guard: n = {n} > {MAX_CHARPOLY_SCALE}")
-    # a row that is a number, a matrix or ragged is refused before any row is
-    # summed; the row sums are guarded before any entry becomes a float, so an
-    # entry too large for float64 is refused, not overflowed
+    # a number, a row that is a number, a matrix or ragged is refused before
+    # any row is summed; the row sums are guarded before any entry becomes a
+    # float, so an entry too large for float64 is refused, not overflowed
     try:
-        square = all(np.ndim(row) == 1 and len(row) == n for row in matrix)
-        bound = max((int(sum(map(abs, row))) for row in matrix), default=0) if square else 0
-    except (TypeError, ValueError, OverflowError):  # ragged rows, entries not finite numbers
-        raise InputError("matrix must be square, of finite numbers") from None
-    if not square:
-        raise InputError("matrix must be square")
-    primes = _moduli(n, bound)
-    a = np.asarray(matrix, dtype=np.float64).reshape(1, n, n)
+        n = len(matrix)
+        if n > MAX_CHARPOLY_SCALE:  # refused before n^2 Python steps of row sums
+            raise GuardExceeded(f"exact charpoly guard: n = {n} > {MAX_CHARPOLY_SCALE}")
+        if not all(np.ndim(row) == 1 and len(row) == n for row in matrix):
+            raise InputError("matrix must be square")
+        primes = _moduli(n, max((int(sum(map(abs, row))) for row in matrix), default=0))
+        a = np.asarray(matrix, dtype=np.float64).reshape(1, n, n)
+    except InputError:
+        raise
+    except (TypeError, ValueError, OverflowError):  # not a sequence, ragged, entries not finite reals
+        raise InputError("matrix must be square, of finite real numbers") from None
     return _faddeev_leverrier(a, primes)[0]
 
 

@@ -10,9 +10,10 @@ coefficients f = prod (x + lam)^m, solved from the top by P f' = Q f with
 P = prod (x + lam) and Q = sum m_lam prod_(mu != lam) (x + mu) over the
 positive eigenvalues, the zero eigenvalues being a shift. ``FamilySpec``
 checks a member against its record once, together with the vertex budget,
-and carries those n, |E| and maximum degree; ``family_member`` takes a spec
-or a graph to the member and its Laplacian spectrum. Builders use fixed
-canonical labelings (path 0-1-...-(n-1), cycle in cyclic order, star
+and carries those n, |E| and maximum degree; ``family_member`` and
+``family_coefficients`` take a spec or a graph to its spectrum and its
+coefficients, by the closed form wherever the family has one. Builders use
+fixed canonical labelings (path 0-1-...-(n-1), cycle in cyclic order, star
 centered at 0, hypercube vertices as bit patterns) so that outputs are
 reproducible byte for byte.
 """
@@ -364,19 +365,36 @@ def make_family(spec: FamilySpec) -> Graph:
     return r.build(*spec.size)
 
 
-def family_member(source: FamilySpec | Graph) -> tuple[FamilySpec | Graph, Spectrum]:
-    """The member and its Laplacian spectrum, for a named member or any graph.
-    A spec whose family has a closed-form spectrum comes back as it is, with
-    that spectrum, and is never built. Otherwise the graph comes back with
-    its numeric spectrum; a spec's graph is built only after the dense guard
-    passes on the spec's closed-form n."""
+def family_member(source: FamilySpec | Graph,
+                  signless: bool = False) -> tuple[FamilySpec | Graph, Spectrum]:
+    """The member and its (signless) Laplacian spectrum, for a named member
+    or any graph. A spec whose family has a closed-form spectrum comes back
+    as it is, with that spectrum, unless ``signless``, and is never built.
+    Otherwise the graph comes back with its numeric spectrum; a spec's graph
+    is built only after the dense guard passes on the spec's closed-form n."""
     if isinstance(source, FamilySpec):
-        r = FAMILIES[source.family]
-        if r.spectrum is not None:
-            return source, r.spectrum(*source.size)
+        if (spectrum := FAMILIES[source.family].spectrum) is not None and not signless:
+            return source, spectrum(*source.size)
         exact.dense_guard(source.n)
         source = make_family(source)
-    return source, spectra.numeric_spectrum(exact.laplacian_matrix(source))
+    matrix = exact.signless_laplacian_matrix(source) if signless else exact.laplacian_matrix(source)
+    return source, spectra.numeric_spectrum(matrix)
+
+
+def family_coefficients(source: FamilySpec | Graph, signless: bool = False) -> list[int]:
+    """The exact (signless) Laplacian coefficients by the rule of
+    ``family_member``: the family's formula under its output guard, never
+    built, or else the exact charpoly, a spec's graph built only once the
+    charpoly guard (where the table knows the maximum degree) and the dense
+    guard pass on the spec's closed forms."""
+    if isinstance(source, FamilySpec):
+        if FAMILIES[source.family].coefficients is not None and not signless:
+            return closed_form_coefficients(source.family, *source.size)
+        if source.max_degree is not None:
+            exact.charpoly_guard(source.n, source.max_degree)
+        exact.dense_guard(source.n)
+        source = make_family(source)
+    return exact.signless_coefficients(source) if signless else exact.laplacian_coefficients(source)
 
 
 def _closed_form(what: str, family: str, params: tuple[int, ...]):
@@ -409,7 +427,7 @@ def closed_form_coefficients(family: str, *params: int) -> list[int]:
     positive integer eigenvalues, P = prod (x + lam) and Q = sum m_lam
     prod_(mu != lam) (x + mu), each step 2r - 1 terms. So path 12000 takes
     about 0.1 s and hypercube 12 about 0.2 s where the general charpoly,
-    about P n^4 work, is refused by its guard. ``coeffs --closed-form`` and
+    about P n^4 work, is refused by its guard. ``family_coefficients`` and
     ``verify`` use them. Every c_k is at most sum(c) = prod(1 + lam), so the
     closed-form spectrum bounds the vector's decimal digits before the
     formula makes any big integer; GuardExceeded when that bound exceeds

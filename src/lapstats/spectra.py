@@ -63,7 +63,10 @@ def numeric_spectra(matrices) -> list[Spectrum]:
     matrices of interest are positive semi-definite. Each spectrum is bit
     for bit the one a call on its matrix alone gives.
     """
-    mats = list(matrices)
+    try:
+        mats = list(matrices)
+    except TypeError:
+        raise InputError(f"matrix sequence expected, got {type(matrices).__name__}") from None
     by_order: dict[int, list[int]] = {}
     for i, m in enumerate(mats):
         try:

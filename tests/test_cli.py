@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from lapstats import cli, serialize
+from lapstats import cli, exact, serialize
 from lapstats.errors import GuardExceeded
 from lapstats.families import FamilySpec, make_family
 from test_limits import reference_row
@@ -34,10 +34,11 @@ class TestCoeffs:
         assert rows == [["k", "c_k"], ["0", "0"], ["1", "3"], ["2", "4"], ["3", "1"]]
 
     def test_closed_form_byte_identical(self, capsys):
-        _, direct, _ = run_cli(capsys, "coeffs", "--family", "path", "--n", "3")
-        _, closed, _ = run_cli(capsys, "coeffs", "--family", "path", "--n", "3",
+        # path 200 is past the charpoly guard; both runs take the formula
+        code, direct, _ = run_cli(capsys, "coeffs", "--family", "path", "--n", "200")
+        _, closed, _ = run_cli(capsys, "coeffs", "--family", "path", "--n", "200",
                                "--closed-form")
-        assert direct == closed
+        assert code == 0 and direct == closed
 
     def test_edge_list_input(self, capsys, tmp_path):
         path = tmp_path / "k2.txt"
@@ -81,11 +82,18 @@ class TestCoeffs:
 
 
 class TestSpectrum:
-    def test_star_json(self, capsys):
+    def test_star_json(self, capsys, tmp_path):
+        # the named star takes its closed form; its edge list the eigensolver
         code, out, _ = run_cli(capsys, "spectrum", "--family", "star", "--n", "5")
-        assert code == 0
         payload = json.loads(out)
-        assert payload["exact"] is False
+        assert code == 0 and payload["exact"] is True
+        assert payload["values"] == [5.0, 1.0, 1.0, 1.0, 0.0]
+        assert payload["trace_residual"] == 0.0
+        path = tmp_path / "star5.txt"
+        path.write_text("5 4\n0 1\n0 2\n0 3\n0 4\n")
+        code, out, _ = run_cli(capsys, "spectrum", "--edge-list", str(path))
+        payload = json.loads(out)
+        assert code == 0 and payload["exact"] is False
         assert payload["values"] == sorted(payload["values"], reverse=True)
         assert payload["values"][0] == pytest.approx(5.0, abs=1e-9)
         assert payload["trace_residual"] <= 1e-8
@@ -268,8 +276,10 @@ class TestExitCodes:
         def explode(g):
             raise GuardExceeded("boom")
 
-        monkeypatch.setattr(cli.exact, "laplacian_coefficients", explode)
-        code, _, err = run_cli(capsys, "coeffs", "--family", "path", "--n", "4")
+        # a family without a formula, so that coeffs runs the exact charpoly
+        monkeypatch.setattr(exact, "laplacian_coefficients", explode)
+        code, _, err = run_cli(capsys, "coeffs", "--family", "random_tree", "--n", "6",
+                               "--seed", "1")
         assert code == 3 and "boom" in err
 
     @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from lapstats.corpus import corpus_graphs
 from lapstats.errors import GuardExceeded, InputError
 from lapstats.exact import (
     FOREST_STATE_GUARD,
+    charpoly_guard,
     charpoly_monic,
     coefficients_from_eigenvalues,
     forest_sum_oracle,
@@ -27,7 +28,7 @@ from lapstats.graphs import (
     graph_from_edge_list,
     subdivision,
 )
-from lapstats.spectra import numeric_spectrum
+from lapstats.spectra import numeric_spectra, numeric_spectrum
 
 
 def fam(name, *size):
@@ -108,7 +109,11 @@ class TestCharpoly:
     (numeric_spectrum, [[1, "ab"], ["ab", 2]]),
     (charpoly_monic, [[[1, 2], [3]], [[1], [2]]]),
     (charpoly_monic, [[1, "ab"], [1, 2]]),
-], ids=["spectrum-ragged", "spectrum-text", "charpoly-ragged", "charpoly-text"])
+    (charpoly_monic, 5),
+    (numeric_spectra, 5),
+    (charpoly_monic, [[1, 2], [3, 4 + 1j]]),
+], ids=["spectrum-ragged", "spectrum-text", "charpoly-ragged", "charpoly-text",
+        "charpoly-number", "spectra-number", "charpoly-complex"])
 def test_malformed_nested_input_is_an_input_error(route, matrix):
     # an InputError, which the CLI maps to exit 2, not an error from numpy or a builtin
     with pytest.raises(InputError, match="^matrix"):
@@ -320,6 +325,26 @@ class TestClosedForms:
     def test_matches_exact_pipeline(self, family, params):
         want = laplacian_coefficients(make_family(FamilySpec(family, params)))
         assert closed_form_coefficients(family, *params) == want
+
+    # the largest member the exact charpoly guard admits of each family with a
+    # formula (the complete bipartite graph balanced): coeffs --family takes
+    # the formula where it used to take the charpoly, and the next size up is
+    # refused by the guard
+    @pytest.mark.parametrize("family, size, larger", [
+        ("path", (151,), (152,)),
+        ("cycle", (151,), (152,)),
+        ("star", (118,), (119,)),
+        ("complete", (118,), (119,)),
+        ("complete_bipartite", (60, 60), (61, 61)),
+        ("hypercube", (7,), (8,)),
+        ("matching_union", (81,), (82,)),
+    ])
+    def test_formula_equals_charpoly_at_the_guard(self, family, size, larger):
+        want = laplacian_coefficients(make_family(FamilySpec(family, size)))
+        assert closed_form_coefficients(family, *size) == want
+        spec = FamilySpec(family, larger)
+        with pytest.raises(GuardExceeded, match="charpoly guard"):
+            charpoly_guard(spec.n, spec.max_degree)
 
     def test_unknown_family(self):
         with pytest.raises(InputError):

@@ -86,16 +86,17 @@ def test_edge_budget_checked_before_building(no_graphs):
     ["diagnose", "--family", "random_tree", "--n", "200000", "--seed", "1"],
     ["stats", "--family", "complete_binary_tree", "--n", "12"],
     ["sweep", "--family", "random_regular", "--ladder", "5000:3", "--seed", "1"],
-    # coeffs and spectrum check their guards on the spec's closed forms: the
-    # exact charpoly from n and the maximum degree, the dense matrix from n
-    ["coeffs", "--family", "complete", "--n", "2000"],
+    # without a formula (the wheel's, any signless one) coeffs and spectrum
+    # check their guards on the spec's closed forms: the exact charpoly from
+    # n and the maximum degree, the dense matrix from n
+    ["coeffs", "--family", "wheel", "--n", "200"],
     ["coeffs", "--family", "complete", "--n", "2000", "--signless"],
-    ["coeffs", "--family", "path", "--n", "1000000"],
     # no maximum degree in the table, so only the dense guard applies
     ["coeffs", "--family", "random_tree", "--n", "1000000", "--seed", "1"],
     ["spectrum", "--family", "random_tree", "--n", "1000000", "--seed", "1"],
     # the closed-form output guard, from the spectrum alone
     ["coeffs", "--family", "hypercube", "--n", "13", "--closed-form"],
+    ["coeffs", "--family", "path", "--n", "1000000"],
 ])
 def test_cli_guard_exits_3_before_building(capsys, no_graphs, argv):
     assert cli.main(argv) == 3
@@ -107,6 +108,9 @@ def test_cli_guard_exits_3_before_building(capsys, no_graphs, argv):
     ["diagnose", "--family", "complete_bipartite", "--n", "500,500"],
     ["spectrum", "--family", "wheel", "--n", "40", "--closed-form"],
     ["sweep", "--family", "path", "--ladder", "10,20"],
+    # past the charpoly and dense guards, which the formulas do not need
+    ["coeffs", "--family", "path", "--n", "200"],
+    ["spectrum", "--family", "path", "--n", "5000"],
 ])
 def test_closed_form_commands_never_build(capsys, no_graphs, argv):
     assert cli.main(argv) == 0
