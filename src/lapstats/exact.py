@@ -12,13 +12,14 @@ running entries.
 
 * Bound. Every coefficient of det(xI - A) is an elementary symmetric
   function of the eigenvalues, so |c| <= C(n, k) R^k <= (1 + R)^n, where R,
-  the largest absolute row sum, bounds the spectral radius. Primes are taken
-  until their product M exceeds twice the bound; symmetric residues mod M
-  are then the integers themselves. The guard and a general matrix use
-  (1 + R)^n. A (signless) Laplacian is positive semi-definite, so the sum of
-  its |c| is prod(1 + lambda_i) <= ((n + tr A) / n)^n by AM-GM, and a stack
-  of them keeps only as many of the guard's primes as the largest trace in
-  the stack needs: 7 of 10 for a 4-regular graph on 128 vertices.
+  the largest absolute row sum, bounds the spectral radius; a general
+  matrix uses this bound. A (signless) Laplacian is positive semi-definite
+  with trace 2|E|, so the sum of its |c| is prod(1 + lambda_i) <=
+  ((n + 2|E|) / n)^n by AM-GM, which is at most (1 + 2 max degree)^n; the
+  guard and the stacked kernel both take their primes from it through
+  ``charpoly_guard``, 7 for a 4-regular graph on 128 vertices. Primes are
+  taken until their product M exceeds twice the bound; symmetric residues
+  mod M are then the integers themselves.
 * Primes. Each prime p exceeds n (so 1..n are invertible mod p) and
   p * max(R, n) < 2^53. A stays unreduced and the running matrix is reduced
   to [0, p), so every partial sum of a product row or of a trace is an
@@ -30,8 +31,8 @@ running entries.
 
 The work, about P n^4 multiply-adds per matrix for P primes, is checked
 against MAX_CHARPOLY_WORK (``charpoly_guard``) for every graph before any
-matrix is built, and for a named family from its closed-form n and maximum
-degree before the graph is. Independent combinatorial routes exist so the
+matrix is built, and for a named family from its closed-form n and |E|
+before the graph is. Independent combinatorial routes exist so the
 pipeline can be cross-checked rather than trusted: spanning-forest sums by a
 dynamic programme over vertex partitions (``forest_sum_oracle``), matching
 counts by deletion/contraction on edge bitmasks (``matching_counts``), a
@@ -63,7 +64,7 @@ MATCHING_EDGE_GUARD = 64
 # edge list peaks near 0.29 GB, the float64 matrix and LAPACK's copy of it
 MAX_DENSE_VERTICES = 1 << 12
 # multiply-adds of the exact charpoly, P primes times n^4; the guard gives a
-# 4-regular graph on 128 vertices 10 primes, 2.7e9
+# 4-regular graph on 128 vertices 7 primes, 1.9e9
 MAX_CHARPOLY_WORK = 1 << 32
 # largest admitted max(R, n); with primes below 2^44, p * max(R, n) < 2^53
 MAX_CHARPOLY_SCALE = 1 << 9
@@ -111,22 +112,26 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     return _dense_laplacian(g, 1.0)
 
 
-def _moduli(n: int, r: int) -> tuple[int, ...]:
-    """The fewest table primes whose product exceeds 2 (1 + r)^n, for an
-    n x n matrix with largest absolute row sum r. GuardExceeded when the
-    work or the scale is past what the table admits."""
+def _scale_guard(n: int, r: int) -> None:
+    """Refuse an n x n matrix with largest absolute row sum r when
+    max(n, r) is past MAX_CHARPOLY_SCALE, where float64 stops being exact."""
     if max(n, r) > MAX_CHARPOLY_SCALE:
         raise GuardExceeded(
-            f"exact charpoly guard: n = {n}, row sum {r}; each must be at most {MAX_CHARPOLY_SCALE}"
+            f"exact charpoly guard: n = {n}, row sums up to {r}; each must be at most {MAX_CHARPOLY_SCALE}"
         )
-    bound = 2 * (1 + r) ** n
+
+
+def _moduli(n: int, bound: int) -> tuple[int, ...]:
+    """The fewest table primes whose product exceeds 2 bound, for an n x n
+    matrix whose |coefficients| are at most bound. GuardExceeded when the
+    work is past MAX_CHARPOLY_WORK."""
     modulus, count = 1, 0
-    while modulus <= bound:
+    while modulus <= 2 * bound:
         count += 1
         if count * n ** 4 > MAX_CHARPOLY_WORK:
             raise GuardExceeded(
-                f"exact charpoly guard: n = {n}, row sum {r} needs more than "
-                f"{count - 1} primes, above {MAX_CHARPOLY_WORK} multiply-adds"
+                f"exact charpoly guard: n = {n} needs more than {count - 1} primes, "
+                f"above {MAX_CHARPOLY_WORK} multiply-adds"
             )
         modulus *= CHARPOLY_PRIMES[count - 1]
     return CHARPOLY_PRIMES[:count]
@@ -138,21 +143,13 @@ def _spectral_bound(n: int, trace: int) -> int:
     return -(-(n + trace) ** n // n ** n)
 
 
-def _enough(primes: tuple[int, ...], bound: int) -> tuple[int, ...]:
-    """The shortest prefix of ``primes`` whose product exceeds 2 bound; all
-    of them if none does."""
-    modulus = 1
-    for count, p in enumerate(primes, 1):
-        modulus *= p
-        if modulus > 2 * bound:
-            return primes[:count]
-    return primes
-
-
-def charpoly_guard(n: int, max_degree: int) -> None:
-    """Refuse the exact charpoly of an n-vertex (signless) Laplacian, whose
-    row sums are at most 2 max_degree, past the prime table or work budget."""
-    _moduli(n, 2 * max_degree)
+def charpoly_guard(n: int, edge_count: int) -> tuple[int, ...]:
+    """The primes of the exact charpoly of an n-vertex (signless) Laplacian
+    with at most edge_count edges, from the AM-GM bound on its trace
+    2 edge_count; GuardExceeded past the scale or the work budget. Its row
+    sums 2 deg(v) are at most 2 (n - 1), so the scale needs no degree."""
+    _scale_guard(n, 2 * (n - 1))
+    return _moduli(n, _spectral_bound(n, 2 * edge_count))
 
 
 def _reduce(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -227,16 +224,21 @@ def charpoly_monic(matrix: list[list[int]] | np.ndarray) -> list[int]:
     integer matrix within the guard, given as rows or as an ndarray such as
     the Laplacian builders return, and certified by its top two coefficients.
     """
-    # a number, a row that is a number, a matrix or ragged is refused before
-    # any row is summed; the row sums are guarded before any entry becomes a
-    # float, so an entry too large for float64 is refused, not overflowed
+    # a number, a row that is a number, a matrix, ragged or complex is refused
+    # before any row is summed; the row sums are guarded before any entry
+    # becomes a float, so an entry too large for float64 is refused, not
+    # overflowed
     try:
         n = len(matrix)
         if n > MAX_CHARPOLY_SCALE:  # refused before n^2 Python steps of row sums
             raise GuardExceeded(f"exact charpoly guard: n = {n} > {MAX_CHARPOLY_SCALE}")
         if not all(np.ndim(row) == 1 and len(row) == n for row in matrix):
             raise InputError("matrix must be square")
-        primes = _moduli(n, max((int(sum(map(abs, row))) for row in matrix), default=0))
+        if np.iscomplexobj(matrix):  # float64 would drop the imaginary parts
+            raise InputError("matrix must be of real numbers")
+        r = max((int(sum(map(abs, row))) for row in matrix), default=0)
+        _scale_guard(n, r)
+        primes = _moduli(n, (1 + r) ** n)
         a = np.asarray(matrix, dtype=np.float64).reshape(1, n, n)
     except InputError:
         raise
@@ -248,20 +250,18 @@ def charpoly_monic(matrix: list[list[int]] | np.ndarray) -> list[int]:
 def _unsigned_coefficients_many(graphs, build: Callable[[Graph], np.ndarray], label: str,
                                 matrices=None) -> list[list[int]]:
     """One stacked charpoly per vertex count, in first-seen order; every
-    graph meets the charpoly guard before any matrix is built, unless the
-    caller passes them all built as ``matrices``."""
+    order meets the charpoly guard at its largest |E| before any matrix is
+    built, unless the caller passes them all built as ``matrices``."""
     graphs = list(graphs)
-    for g in graphs:
-        charpoly_guard(g.n, g.max_degree)
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         by_order.setdefault(g.n, []).append(i)
+    # both Laplacians have trace 2 |E|; every order's primes before any matrix
+    primes_of = {n: charpoly_guard(n, max(graphs[i].edge_count for i in members))
+                 for n, members in by_order.items()}
     out: list[list[int]] = [[] for _ in graphs]
     for n, members in by_order.items():
-        # both Laplacians have row sums 2 deg(v) and trace 2 |E|; the guard's
-        # primes cover the first, and the AM-GM bound keeps a prefix of them
-        primes = _enough(_moduli(n, 2 * max(graphs[i].max_degree for i in members)),
-                         _spectral_bound(n, 2 * max(graphs[i].edge_count for i in members)))
+        primes = primes_of[n]
         # members per stack, so that the running array stays within budget
         size = max(1, MAX_STACK_ENTRIES // (len(primes) * n * n or 1))
         for start in range(0, len(members), size):

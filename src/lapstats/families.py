@@ -385,13 +385,12 @@ def family_coefficients(source: FamilySpec | Graph, signless: bool = False) -> l
     """The exact (signless) Laplacian coefficients by the rule of
     ``family_member``: the family's formula under its output guard, never
     built, or else the exact charpoly, a spec's graph built only once the
-    charpoly guard (where the table knows the maximum degree) and the dense
-    guard pass on the spec's closed forms."""
+    charpoly guard and the dense guard pass on the spec's closed-form n and
+    |E|."""
     if isinstance(source, FamilySpec):
         if FAMILIES[source.family].coefficients is not None and not signless:
             return closed_form_coefficients(source.family, *source.size)
-        if source.max_degree is not None:
-            exact.charpoly_guard(source.n, source.max_degree)
+        exact.charpoly_guard(source.n, source.edge_count)
         exact.dense_guard(source.n)
         source = make_family(source)
     return exact.signless_coefficients(source) if signless else exact.laplacian_coefficients(source)

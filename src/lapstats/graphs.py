@@ -127,10 +127,6 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
 # basic statistics
 
 
-def max_degree(g: Graph) -> int:
-    return g.max_degree
-
-
 def bfs_distances(adj: list[list[int]], start: int, dist: list[int]) -> None:
     """Set dist[v] to the distance from ``start`` for each vertex v of its
     component, which ``dist`` must mark -1 on entry; other entries stay."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .graphs import Graph, max_degree
+from .graphs import Graph
 
 # negative eigenvalues within 10 * SNAP_TOL * ||A||_F of zero are snapped to 0
 SNAP_TOL = 1e-12
@@ -70,9 +70,11 @@ def numeric_spectra(matrices) -> list[Spectrum]:
     by_order: dict[int, list[int]] = {}
     for i, m in enumerate(mats):
         try:
+            if np.iscomplexobj(m):  # float would drop the imaginary parts
+                raise TypeError
             m = mats[i] = np.asarray(m, dtype=float)
-        except (TypeError, ValueError):  # ragged rows, or an entry that is not a number
-            raise InputError(f"matrix must be an array of numbers{_member(mats, i)}") from None
+        except (TypeError, ValueError):  # ragged rows, or an entry that is not a real number
+            raise InputError(f"matrix must be an array of real numbers{_member(mats, i)}") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"matrix must be square{_member(mats, i)}")
         if not (m == m.T).all():
@@ -139,7 +141,7 @@ def cone_spectrum(s: Spectrum, n: int) -> Spectrum:
 
 def gershgorin_bound(g: Graph) -> int:
     """Upper bound 2 * max degree on every Laplacian eigenvalue."""
-    return 2 * max_degree(g)
+    return 2 * g.max_degree
 
 
 def anderson_morley_bound(g: Graph) -> int:

@@ -105,11 +105,11 @@ def _fam(family, *size):
     return make_family(FamilySpec(family, size))
 
 
-def test_stack_takes_primes_for_its_largest_row_sum():
+def test_stack_takes_primes_for_its_largest_edge_count():
     # alone, the path needs one prime and K_16 two, since sum c = 17^15 is
     # past the first prime; in one stack, path first, both are exact
-    assert len(exact._moduli(16, 4)) == 1
-    assert len(exact._moduli(16, 30)) == 2
+    assert len(exact.charpoly_guard(16, 15)) == 1
+    assert len(exact.charpoly_guard(16, 120)) == 2
     assert 17 ** 15 > CHARPOLY_PRIMES[0]
     graphs = [_fam("path", 16), _fam("complete", 16), _fam("path", 16)]
     got = laplacian_coefficients_many(graphs)
@@ -117,23 +117,39 @@ def test_stack_takes_primes_for_its_largest_row_sum():
     assert got[1] == laplacian_coefficients(graphs[1])
 
 
-def test_laplacian_stacks_take_primes_from_the_am_gm_bound(monkeypatch):
-    # 4-regular: the guard's (1 + 8)^n against the trace's (1 + 4)^n
-    assert len(exact._moduli(128, 8)) == 10
-    assert len(exact._enough(exact._moduli(128, 8), exact._spectral_bound(128, 512))) == 7
-    counts = []
+def _count_primes(monkeypatch):
+    """Record the primes of each ``_faddeev_leverrier`` call by order."""
+    seen = []
     real = exact._faddeev_leverrier
 
     def counted(a, primes):
-        counts.append(len(primes))
+        seen.append((a.shape[1], primes))
         return real(a, primes)
 
     monkeypatch.setattr(exact, "_faddeev_leverrier", counted)
+    return seen
+
+
+def test_laplacian_stacks_take_primes_from_the_am_gm_bound(monkeypatch):
+    # 4-regular: the trace's (1 + 4)^n against the row sums' (1 + 8)^n
+    assert len(exact.charpoly_guard(128, 256)) == 7
+    assert len(exact._moduli(128, 9 ** 128)) == 10
+    seen = _count_primes(monkeypatch)
     g = random_regular(64, 4, 11)
     got = laplacian_coefficients(g)
-    assert counts == [4] and len(exact._moduli(64, 8)) == 5
-    # the single-matrix route takes all five of the guard's primes
+    assert [len(primes) for _, primes in seen] == [4] and len(exact._moduli(64, 9 ** 64)) == 5
+    # the single-matrix route takes all five primes of the row-sum bound
     assert got == [abs(c) for c in charpoly_monic(laplacian_matrix(g))]
+
+
+def test_kernel_takes_the_guards_primes_for_every_corpus_order(monkeypatch):
+    graphs = [g for _, g in corpus_graphs()]
+    largest = {}
+    for g in graphs:
+        largest[g.n] = max(largest.get(g.n, 0), g.edge_count)
+    seen = _count_primes(monkeypatch)
+    laplacian_coefficients_many(graphs)
+    assert seen == [(n, exact.charpoly_guard(n, edges)) for n, edges in largest.items()]
 
 
 def test_spectral_bound_covers_every_corpus_vector():
@@ -154,7 +170,7 @@ def test_stack_split_by_entry_budget(monkeypatch):
 
 
 def test_stack_certificate_catches_a_modulus_too_small(monkeypatch):
-    monkeypatch.setattr(exact, "_moduli", lambda n, r: (7,))
+    monkeypatch.setattr(exact, "_moduli", lambda n, bound: (7,))
     with pytest.raises(ArithmeticError, match="matrix"):
         laplacian_coefficients_many([_fam("path", 5), _fam("complete", 5)])
 
@@ -213,18 +229,20 @@ def test_prime_table_invariants():
 
 
 def test_table_covers_every_admitted_size():
-    # the worst row sum needs the most primes; the guard must refuse before
-    # the table runs out
+    # (1 + R)^n at the largest admitted row sum needs the most primes, and
+    # bounds every Laplacian's AM-GM bound too; the work guard must refuse
+    # before the table runs out
     for n in range(0, 300):
         try:
-            primes = exact._moduli(n, MAX_CHARPOLY_SCALE)
+            primes = exact._moduli(n, (1 + MAX_CHARPOLY_SCALE) ** n)
         except GuardExceeded:
             continue
         assert len(primes) * n ** 4 <= MAX_CHARPOLY_WORK
 
 
 def test_guard_admits_128_vertex_4_regular():
-    assert len(exact._moduli(128, 8)) * 128 ** 4 <= MAX_CHARPOLY_WORK
+    primes = exact.charpoly_guard(128, 256)
+    assert len(primes) == 7 and len(primes) * 128 ** 4 <= MAX_CHARPOLY_WORK
 
 
 def test_charpoly_refuses_row_sums_past_the_table():
@@ -250,7 +268,7 @@ def test_charpoly_refuses_n_before_reading_entries():
 
 
 def test_certificate_catches_a_modulus_too_small(monkeypatch):
-    monkeypatch.setattr(exact, "_moduli", lambda n, r: (7,))
+    monkeypatch.setattr(exact, "_moduli", lambda n, bound: (7,))
     with pytest.raises(ArithmeticError):
         charpoly_monic([[5, 1, 0], [1, 4, 1], [0, 1, 3]])
 

@@ -47,6 +47,28 @@ class TestCoeffs:
         assert code == 0
         assert json.loads(out) == ["0", "2", "1"]
 
+    def test_wheel_at_the_charpoly_guard(self, capsys):
+        # a rim of 150, the largest the guard admits; with no formula for the
+        # wheel, check c_(n-1) = 2 |E| and c_1 = n tau, where the tree count
+        # is tau(W_m) = L_2m - 2 for a rim of m, L the Lucas numbers
+        code, out, _ = run_cli(capsys, "coeffs", "--family", "wheel", "--n", "150")
+        assert code == 0
+        values = [int(v) for v in json.loads(out)]
+        lucas = [2, 1]
+        while len(lucas) <= 300:
+            lucas.append(lucas[-1] + lucas[-2])
+        assert len(values) == 152 and values[150:] == [600, 1]
+        assert values[1] == 151 * (lucas[300] - 2)
+
+    def test_star_edge_list_at_the_charpoly_guard(self, capsys, tmp_path):
+        # 163 vertices, the most the guard admits; the edge list takes the
+        # charpoly and the named star its formula
+        path = tmp_path / "star163.txt"
+        path.write_text("163 162\n" + "".join(f"0 {i}\n" for i in range(1, 163)))
+        code, listed, _ = run_cli(capsys, "coeffs", "--edge-list", str(path))
+        _, named, _ = run_cli(capsys, "coeffs", "--family", "star", "--n", "163")
+        assert code == 0 and listed == named
+
     def test_signless_odd_cycle(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--family", "cycle", "--n", "5",
                                "--signless")

@@ -112,8 +112,12 @@ class TestCharpoly:
     (charpoly_monic, 5),
     (numeric_spectra, 5),
     (charpoly_monic, [[1, 2], [3, 4 + 1j]]),
+    # complex arrays, which float64 would take with their imaginary parts dropped
+    (charpoly_monic, np.array([[2, 1j], [1j, 2]])),
+    (numeric_spectra, [np.array([[2, 1j], [-1j, 2]])]),
 ], ids=["spectrum-ragged", "spectrum-text", "charpoly-ragged", "charpoly-text",
-        "charpoly-number", "spectra-number", "charpoly-complex"])
+        "charpoly-number", "spectra-number", "charpoly-complex", "charpoly-complex-array",
+        "spectra-complex-array"])
 def test_malformed_nested_input_is_an_input_error(route, matrix):
     # an InputError, which the CLI maps to exit 2, not an error from numpy or a builtin
     with pytest.raises(InputError, match="^matrix"):
@@ -331,20 +335,20 @@ class TestClosedForms:
     # the formula where it used to take the charpoly, and the next size up is
     # refused by the guard
     @pytest.mark.parametrize("family, size, larger", [
-        ("path", (151,), (152,)),
-        ("cycle", (151,), (152,)),
-        ("star", (118,), (119,)),
-        ("complete", (118,), (119,)),
-        ("complete_bipartite", (60, 60), (61, 61)),
+        ("path", (163,), (164,)),
+        ("cycle", (163,), (164,)),
+        ("star", (163,), (164,)),
+        ("complete", (121,), (122,)),
+        ("complete_bipartite", (62, 62), (63, 63)),
         ("hypercube", (7,), (8,)),
-        ("matching_union", (81,), (82,)),
+        ("matching_union", (87,), (88,)),
     ])
     def test_formula_equals_charpoly_at_the_guard(self, family, size, larger):
         want = laplacian_coefficients(make_family(FamilySpec(family, size)))
         assert closed_form_coefficients(family, *size) == want
         spec = FamilySpec(family, larger)
         with pytest.raises(GuardExceeded, match="charpoly guard"):
-            charpoly_guard(spec.n, spec.max_degree)
+            charpoly_guard(spec.n, spec.edge_count)
 
     def test_unknown_family(self):
         with pytest.raises(InputError):

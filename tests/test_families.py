@@ -88,15 +88,19 @@ def test_edge_budget_checked_before_building(no_graphs):
     ["sweep", "--family", "random_regular", "--ladder", "5000:3", "--seed", "1"],
     # without a formula (the wheel's, any signless one) coeffs and spectrum
     # check their guards on the spec's closed forms: the exact charpoly from
-    # n and the maximum degree, the dense matrix from n
+    # n and |E|, the dense matrix from n
     ["coeffs", "--family", "wheel", "--n", "200"],
     ["coeffs", "--family", "complete", "--n", "2000", "--signless"],
-    # no maximum degree in the table, so only the dense guard applies
+    # the seed decides the maximum degree, which the guards do not need
     ["coeffs", "--family", "random_tree", "--n", "1000000", "--seed", "1"],
     ["spectrum", "--family", "random_tree", "--n", "1000000", "--seed", "1"],
     # the closed-form output guard, from the spectrum alone
     ["coeffs", "--family", "hypercube", "--n", "13", "--closed-form"],
     ["coeffs", "--family", "path", "--n", "1000000"],
+    # one past the charpoly guard's largest wheel, and a random tree within
+    # the dense guard but past the charpoly's
+    ["coeffs", "--family", "wheel", "--n", "151"],
+    ["coeffs", "--family", "random_tree", "--n", "300", "--seed", "1"],
 ])
 def test_cli_guard_exits_3_before_building(capsys, no_graphs, argv):
     assert cli.main(argv) == 3
