@@ -6,24 +6,24 @@ M_{k+1} = A M_k + c[n-k] I runs modulo a few primes at once on a stack of
 same-order matrices, one batched float64 BLAS product per step for the whole
 stack, and the Chinese remainder theorem maps each matrix's residues back to
 integers. ``laplacian_coefficients_many`` stacks its graphs by vertex count,
-so ``verify`` runs one charpoly per order; a single matrix is a stack of one,
+so ``verify`` runs one charpoly per order; a single graph is a stack of one,
 and many large graphs of one order go in stacks of at most MAX_STACK_ENTRIES
-running entries.
+running entries. Graphs are the only way in; no public function takes a
+matrix to the charpoly.
 
-* Bound. Every coefficient of det(xI - A) is an elementary symmetric
-  function of the eigenvalues, so |c| <= C(n, k) R^k <= (1 + R)^n, where R,
-  the largest absolute row sum, bounds the spectral radius; a general
-  matrix uses this bound. A (signless) Laplacian is positive semi-definite
-  with trace 2|E|, so the sum of its |c| is prod(1 + lambda_i) <=
+* Bound. A (signless) Laplacian is positive semi-definite with trace 2|E|,
+  and every coefficient of det(xI - A) is an elementary symmetric function
+  of its eigenvalues, so the sum of its |c| is prod(1 + lambda_i) <=
   ((n + 2|E|) / n)^n by AM-GM, which is at most (1 + 2 max degree)^n; the
   guard and the stacked kernel both take their primes from it through
   ``charpoly_guard``, 7 for a 4-regular graph on 128 vertices. Primes are
   taken until their product M exceeds twice the bound; symmetric residues
   mod M are then the integers themselves.
 * Primes. Each prime p exceeds n (so 1..n are invertible mod p) and
-  p * max(R, n) < 2^53. A stays unreduced and the running matrix is reduced
-  to [0, p), so every partial sum of a product row or of a trace is an
-  integer below 2^53 and exact in float64, whatever order BLAS sums in.
+  p * max(R, n) < 2^53, where R = 2(n - 1) bounds every row sum 2 deg(v).
+  A stays unreduced and the running matrix is reduced to [0, p), so every
+  partial sum of a product row or of a trace is an integer below 2^53 and
+  exact in float64, whatever order BLAS sums in.
 * Certificate. After the reconstruction each matrix's x^(n-1) and x^(n-2)
   coefficients are checked in Python integers against -tr A and
   (tr(A)^2 - tr(A^2)) / 2; a mismatch raises ArithmeticError naming the
@@ -112,15 +112,6 @@ def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     return _dense_laplacian(g, 1.0)
 
 
-def _scale_guard(n: int, r: int) -> None:
-    """Refuse an n x n matrix with largest absolute row sum r when
-    max(n, r) is past MAX_CHARPOLY_SCALE, where float64 stops being exact."""
-    if max(n, r) > MAX_CHARPOLY_SCALE:
-        raise GuardExceeded(
-            f"exact charpoly guard: n = {n}, row sums up to {r}; each must be at most {MAX_CHARPOLY_SCALE}"
-        )
-
-
 def _moduli(n: int, bound: int) -> tuple[int, ...]:
     """The fewest table primes whose product exceeds 2 bound, for an n x n
     matrix whose |coefficients| are at most bound. GuardExceeded when the
@@ -146,9 +137,15 @@ def _spectral_bound(n: int, trace: int) -> int:
 def charpoly_guard(n: int, edge_count: int) -> tuple[int, ...]:
     """The primes of the exact charpoly of an n-vertex (signless) Laplacian
     with at most edge_count edges, from the AM-GM bound on its trace
-    2 edge_count; GuardExceeded past the scale or the work budget. Its row
-    sums 2 deg(v) are at most 2 (n - 1), so the scale needs no degree."""
-    _scale_guard(n, 2 * (n - 1))
+    2 edge_count. Its row sums 2 deg(v) are at most r = 2 (n - 1), so the
+    scale needs no degree; GuardExceeded when max(n, r) is past
+    MAX_CHARPOLY_SCALE, where float64 stops being exact, or past the work
+    budget."""
+    r = 2 * (n - 1)
+    if max(n, r) > MAX_CHARPOLY_SCALE:
+        raise GuardExceeded(
+            f"exact charpoly guard: n = {n}, row sums up to {r}; each must be at most {MAX_CHARPOLY_SCALE}"
+        )
     return _moduli(n, _spectral_bound(n, 2 * edge_count))
 
 
@@ -214,37 +211,6 @@ def _faddeev_leverrier(a: np.ndarray, primes: tuple[int, ...]) -> list[list[int]
                 f"(tr(A)^2 - tr(A^2)) / 2")
         polys.append(coeffs)
     return polys
-
-
-def charpoly_monic(matrix: list[list[int]] | np.ndarray) -> list[int]:
-    """Coefficients of det(xI - M), ascending, leading coefficient 1.
-
-    Multi-modular Faddeev-LeVerrier with CRT reconstruction (see the module
-    docstring) on a stack of one; exact by construction for any square
-    integer matrix within the guard, given as rows or as an ndarray such as
-    the Laplacian builders return, and certified by its top two coefficients.
-    """
-    # a number, a row that is a number, a matrix, ragged or complex is refused
-    # before any row is summed; the row sums are guarded before any entry
-    # becomes a float, so an entry too large for float64 is refused, not
-    # overflowed
-    try:
-        n = len(matrix)
-        if n > MAX_CHARPOLY_SCALE:  # refused before n^2 Python steps of row sums
-            raise GuardExceeded(f"exact charpoly guard: n = {n} > {MAX_CHARPOLY_SCALE}")
-        if not all(np.ndim(row) == 1 and len(row) == n for row in matrix):
-            raise InputError("matrix must be square")
-        if np.iscomplexobj(matrix):  # float64 would drop the imaginary parts
-            raise InputError("matrix must be of real numbers")
-        r = max((int(sum(map(abs, row))) for row in matrix), default=0)
-        _scale_guard(n, r)
-        primes = _moduli(n, (1 + r) ** n)
-        a = np.asarray(matrix, dtype=np.float64).reshape(1, n, n)
-    except InputError:
-        raise
-    except (TypeError, ValueError, OverflowError):  # not a sequence, ragged, entries not finite reals
-        raise InputError("matrix must be square, of finite real numbers") from None
-    return _faddeev_leverrier(a, primes)[0]
 
 
 def _unsigned_coefficients_many(graphs, build: Callable[[Graph], np.ndarray], label: str,

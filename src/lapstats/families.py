@@ -12,7 +12,10 @@ positive eigenvalues, the zero eigenvalues being a shift. ``FamilySpec``
 checks a member against its record once, together with the vertex budget,
 and carries those n, |E| and maximum degree; ``family_member`` and
 ``family_coefficients`` take a spec or a graph to its spectrum and its
-coefficients, by the closed form wherever the family has one. Builders use
+coefficients, by the closed form wherever the family has one, the formula
+under the output guard. ``closed_form_spectrum`` and
+``closed_form_coefficients`` name a member by its parts, refuse a family
+without the closed form and otherwise go through those two. Builders use
 fixed canonical labelings (path 0-1-...-(n-1), cycle in cyclic order, star
 centered at 0, hypercube vertices as bit patterns) so that outputs are
 reproducible byte for byte.
@@ -381,34 +384,6 @@ def family_member(source: FamilySpec | Graph,
     return source, spectra.numeric_spectrum(matrix)
 
 
-def family_coefficients(source: FamilySpec | Graph, signless: bool = False) -> list[int]:
-    """The exact (signless) Laplacian coefficients by the rule of
-    ``family_member``: the family's formula under its output guard, never
-    built, or else the exact charpoly, a spec's graph built only once the
-    charpoly guard and the dense guard pass on the spec's closed-form n and
-    |E|."""
-    if isinstance(source, FamilySpec):
-        if FAMILIES[source.family].coefficients is not None and not signless:
-            return closed_form_coefficients(source.family, *source.size)
-        exact.charpoly_guard(source.n, source.edge_count)
-        exact.dense_guard(source.n)
-        source = make_family(source)
-    return exact.signless_coefficients(source) if signless else exact.laplacian_coefficients(source)
-
-
-def _closed_form(what: str, family: str, params: tuple[int, ...]):
-    formula = getattr(family_record(family), what)
-    if formula is None:
-        raise InputError(f"no closed-form {what} for family {family!r}")
-    return formula(*FamilySpec(family, params).size)
-
-
-def closed_form_spectrum(family: str, *params: int) -> Spectrum:
-    """Known spectrum of a named family; exact where the values are integers,
-    double-precision trigonometric values for paths, cycles and wheels."""
-    return _closed_form("spectrum", family, params)
-
-
 def _output_digits(s: Spectrum) -> int:
     """(n + 1) (floor(sum log10(1 + lam)) + 1): the decimal digits the n + 1
     coefficients of prod(x + lam) can reach, each being at most
@@ -416,31 +391,51 @@ def _output_digits(s: Spectrum) -> int:
     return (len(s) + 1) * (math.floor(math.fsum(map(math.log1p, s.values)) / math.log(10)) + 1)
 
 
-def closed_form_coefficients(family: str, *params: int) -> list[int]:
-    """Exact coefficient vector for a supported named family.
+def family_coefficients(source: FamilySpec | Graph, signless: bool = False) -> list[int]:
+    """The exact (signless) Laplacian coefficients by the rule of
+    ``family_member``: the family's formula, never built, or else the exact
+    charpoly, a spec's graph built only once the charpoly guard and the
+    dense guard pass on the spec's closed-form n and |E|.
 
-    Each vector comes from O(n) big-integer steps, every one an exact
-    division checked by its remainder (ArithmeticError otherwise): a ratio
-    recurrence in k for the path and the cycle, and for the others the
-    recurrence P f' = Q f of f = prod (x + lam)^m over the r distinct
-    positive integer eigenvalues, P = prod (x + lam) and Q = sum m_lam
-    prod_(mu != lam) (x + mu), each step 2r - 1 terms. So path 12000 takes
-    about 0.1 s and hypercube 12 about 0.2 s where the general charpoly,
-    about P n^4 work, is refused by its guard. ``family_coefficients`` and
-    ``verify`` use them. Every c_k is at most sum(c) = prod(1 + lam), so the
-    closed-form spectrum bounds the vector's decimal digits before the
-    formula makes any big integer; GuardExceeded when that bound exceeds
-    MAX_OUTPUT_DIGITS.
+    Each formula takes O(n) big-integer steps, every one an exact division
+    checked by its remainder (ArithmeticError otherwise), where the general
+    charpoly, about P n^4 work, is refused by its guard: path 12000 takes
+    about 0.1 s and hypercube 12 about 0.2 s. Every c_k is at most
+    sum(c) = prod(1 + lam), so the closed-form spectrum bounds the vector's
+    decimal digits before the formula makes any big integer; GuardExceeded
+    when that bound exceeds MAX_OUTPUT_DIGITS.
     """
+    if isinstance(source, FamilySpec):
+        record = FAMILIES[source.family]
+        if record.coefficients is not None and not signless:
+            digits = _output_digits(record.spectrum(*source.size))
+            if digits > MAX_OUTPUT_DIGITS:
+                raise GuardExceeded(
+                    f"closed-form output guard: {source.family} {source.size!r} has up to "
+                    f"{digits} decimal digits of coefficients, above {MAX_OUTPUT_DIGITS}"
+                )
+            return record.coefficients(*source.size)
+        exact.charpoly_guard(source.n, source.edge_count)
+        exact.dense_guard(source.n)
+        source = make_family(source)
+    return exact.signless_coefficients(source) if signless else exact.laplacian_coefficients(source)
+
+
+def closed_form_spectrum(family: str, *params: int) -> Spectrum:
+    """Known spectrum of a named family member, ``family_member`` of its
+    spec; exact where the values are integers, double-precision trigonometric
+    values for paths, cycles and wheels. InputError for a family without one."""
+    if family_record(family).spectrum is None:
+        raise InputError(f"no closed-form spectrum for family {family!r}")
+    return family_member(FamilySpec(family, params))[1]
+
+
+def closed_form_coefficients(family: str, *params: int) -> list[int]:
+    """Exact coefficient vector of a named family member by its formula,
+    ``family_coefficients`` of its spec. InputError for a family without one."""
     if family_record(family).coefficients is None:
         raise InputError(f"no closed-form coefficients for family {family!r}")
-    digits = _output_digits(closed_form_spectrum(family, *params))
-    if digits > MAX_OUTPUT_DIGITS:
-        raise GuardExceeded(
-            f"closed-form output guard: {family} {params!r} has up to {digits} decimal "
-            f"digits of coefficients, above {MAX_OUTPUT_DIGITS}"
-        )
-    return _closed_form("coefficients", family, params)
+    return family_coefficients(FamilySpec(family, params))
 
 
 def family_limit_constants(family: str) -> tuple[float, float]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import index
 
 from .errors import GuardExceeded, InputError
 
@@ -28,16 +29,25 @@ class Graph:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {self.n}")
+        try:
+            n = index(self.n)
+        except TypeError:
+            raise InputError(f"vertex count must be an integer, got {self.n!r}") from None
+        if n < 0:
+            raise InputError(f"vertex count must be nonnegative, got {n}")
         normalized = set()
         for pair in self.edges:
-            u, v = pair
+            try:
+                u, v = pair
+                u, v = index(u), index(v)
+            except (TypeError, ValueError):
+                raise InputError(f"edge must be a pair of integer vertices, got {pair!r}") from None
             if u == v:
                 raise InputError(f"self-loop rejected: {pair!r}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge endpoint out of range [0, {self.n}): {pair!r}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge endpoint out of range [0, {n}): {pair!r}")
             normalized.add((u, v) if u < v else (v, u))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @property

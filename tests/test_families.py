@@ -166,6 +166,52 @@ def test_closed_form_output_guard_exits_3_before_the_formula(capsys, monkeypatch
 
 
 # ---------------------------------------------------------------------------
+# one closed-form route: the spec route holds the formulas and the output
+# guard, and the name-and-size functions go through it
+
+
+def _count_specs(monkeypatch):
+    """Count the FamilySpec objects checked from here on."""
+    made = []
+    real = FamilySpec.__post_init__
+
+    def counted(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(FamilySpec, "__post_init__", counted)
+    return made
+
+
+def test_family_coefficients_checks_no_further_spec(monkeypatch):
+    spec = FamilySpec("path", (200,))
+    made = _count_specs(monkeypatch)
+    coeffs = families.family_coefficients(spec)
+    assert made == []
+    assert coeffs == closed_form_coefficients("path", 200)
+
+
+@pytest.mark.parametrize("family, size", [("path", (7,)), ("complete_bipartite", (2, 3))])
+def test_closed_form_coefficients_go_through_the_spec_route(monkeypatch, family, size):
+    seen = []
+
+    def route(spec):
+        seen.append(spec)
+        return ["from the spec route"]
+
+    monkeypatch.setattr(families, "family_coefficients", route)
+    assert closed_form_coefficients(family, *size) == ["from the spec route"]
+    assert seen == [FamilySpec(family, size)]
+
+
+def test_closed_form_output_guard_message():
+    with pytest.raises(GuardExceeded) as info:
+        closed_form_coefficients("path", 20000)
+    assert str(info.value) == ("closed-form output guard: path (20000,) has up to 167208360 "
+                               "decimal digits of coefficients, above 67108864")
+
+
+# ---------------------------------------------------------------------------
 # the closed-form coefficients against the binomial formulas they replaced,
 # which cost one math.comb per k, and against the expanded spectrum
 

@@ -3,15 +3,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import lapstats
 from lapstats.errors import InputError
+from lapstats.exact import laplacian_coefficients
 from lapstats.families import FamilySpec, make_family, random_regular, random_tree
 from lapstats.graphs import (
     cartesian_product,
     component_count,
+    Graph,
     cone,
     disjoint_union,
     empty_graph,
@@ -44,6 +47,25 @@ class TestEdgeListConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(InputError, match="self-loop"):
             graph_from_edge_list(3, [(1, 1)])
+
+    # a float endpoint used to be truncated by the matrix builder, (0.5, 1)
+    # counting as (0, 1); the others ended in builtin tracebacks, or later
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0.5, 1)]),
+        (3, [(0, 1, 2)]),
+        (3, [("0", 1)]),
+        (3, [(0,)]),
+        (2.5, []),
+        ("3", [(0, 1)]),
+    ], ids=["float-endpoint", "triple", "text-endpoint", "single", "float-n", "text-n"])
+    def test_non_integer_vertices_are_an_input_error(self, n, edges):
+        with pytest.raises(InputError):
+            graph_from_edge_list(n, edges)
+
+    def test_numpy_integer_vertices_are_accepted(self):
+        g = Graph(np.int64(3), frozenset({(np.int32(1), np.int64(0)), (np.uint8(1), np.intp(2))}))
+        assert g == graph_from_edge_list(3, [(0, 1), (1, 2)])
+        assert laplacian_coefficients(g) == [0, 3, 4, 1]
 
 
 class TestFamilies:

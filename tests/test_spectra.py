@@ -287,7 +287,8 @@ class TestClosedForms:
         assert s.values.tolist() == [6.0, 4.0, 4.0, 4.0, 2.0, 2.0, 2.0, 0.0]
 
     def test_unsupported_family(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError,
+                           match="^no closed-form spectrum for family 'complete_binary_tree'$"):
             closed_form_spectrum("complete_binary_tree", 3)
 
     @pytest.mark.parametrize(
