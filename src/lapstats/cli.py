@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 resource guard or solver failure. All configuration is explicit flags; no
 environment variables are consulted.
 
-Each command reads the parsed arguments once ``_check`` has parsed --n and
+``build_parser`` declares coeffs, spectrum, stats and diagnose, the commands
+of one input, from one table, so each of their flags is declared once. Each
+command reads the parsed arguments once ``_check`` has parsed --n and
 --ladder. ``_input`` reads an edge list or names a family member as a
 ``FamilySpec``, not built; ``families`` takes it by the closed form wherever
 the family has one and otherwise builds it only once the spec's closed forms
@@ -52,41 +54,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser, closed_form: bool = False) -> None:
-        p.add_argument("--family", choices=sorted(FAMILIES))
-        p.add_argument("--n", help="size parameter(s); two comma-separated values for two-parameter families")
-        p.add_argument("--edge-list", type=Path, help="path to an 'n m' edge-list file")
-        p.add_argument("--seed", type=int, help="seed, required for random families")
-        if closed_form:
-            p.add_argument("--closed-form", action="store_true",
-                           help="require the family's closed form, which is used wherever "
-                                "one exists; exit 2 if there is none")
-
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=Path, help="output path (default: stdout)")
 
-    p = sub.add_parser("coeffs", help="Laplacian (or signless) coefficient vector")
-    add_io(p, closed_form=True)
-    p.add_argument("--signless", action="store_true", help="use the signless Laplacian")
-    add_output(p)
-    p.set_defaults(run=cmd_coeffs)
-
-    p = sub.add_parser("spectrum", help="eigenvalues, descending")
-    add_io(p, closed_form=True)
-    p.add_argument("--signless", action="store_true", help="use the signless Laplacian")
-    add_output(p)
-    p.set_defaults(run=cmd_spectrum)
-
-    p = sub.add_parser("stats", help="mean and variance of the coefficient distribution")
-    add_io(p)
-    add_output(p)
-    p.set_defaults(run=cmd_stats)
-
-    p = sub.add_parser("diagnose", help="one diagnostic row: stats, distances, verdict")
-    add_io(p)
-    add_output(p)
-    p.set_defaults(run=cmd_diagnose)
+    # the commands of one input: name, help, handler, and whether the command
+    # takes --closed-form and --signless
+    for name, text, run, variants in (
+        ("coeffs", "Laplacian (or signless) coefficient vector", cmd_coeffs, True),
+        ("spectrum", "eigenvalues, descending", cmd_spectrum, True),
+        ("stats", "mean and variance of the coefficient distribution", cmd_stats, False),
+        ("diagnose", "one diagnostic row: stats, distances, verdict", cmd_diagnose, False),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--family", choices=sorted(FAMILIES))
+        p.add_argument("--n", help="size parameter(s); two comma-separated values for two-parameter families")
+        p.add_argument("--edge-list", type=Path, help="path to an 'n m' edge-list file")
+        p.add_argument("--seed", type=int, help="seed, required for random families")
+        if variants:
+            p.add_argument("--closed-form", action="store_true",
+                           help="require the family's closed form, which is used wherever "
+                                "one exists; exit 2 if there is none")
+            p.add_argument("--signless", action="store_true", help="use the signless Laplacian")
+        add_output(p)
+        p.set_defaults(run=run)
 
     p = sub.add_parser("sweep", help="diagnostic rows over a size ladder")
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
@@ -113,7 +104,7 @@ def _check(args: argparse.Namespace) -> None:
     existing invocations work."""
     if getattr(args, "jobs", 1) < 1:
         raise InputError("--jobs must be >= 1")
-    if args.command in ("coeffs", "spectrum", "stats", "diagnose"):
+    if "edge_list" in args:  # a command of one input
         if args.family is not None:
             if args.n is None:
                 raise InputError("--family needs --n")

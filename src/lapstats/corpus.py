@@ -6,12 +6,16 @@ to 12 for the coefficient sandwich), and 10 seeded random regular graphs for
 (n, d) in {(8, 3), (10, 3), (10, 4)}. Each graph's Laplacian
 coefficients are computed once per run, by one stacked exact charpoly per
 vertex count over the corpus and the extra trees, and shared by every check
-that needs them; the bipartite signless check stacks its graphs the same
-way. The corpus Laplacians, the cone Laplacians and the closed-form
+that needs them, as are the mean and variance of its spectrum and its
+normalized probabilities; the bipartite signless check stacks its graphs the
+same way. The corpus Laplacians, the cone Laplacians and the closed-form
 spectrum cases each go to ``spectra.numeric_spectra`` as one list, which
 stacks them by order itself: one certified ``eigvalsh`` call per order, each
 spectrum bit for bit what a call per matrix gives.
-Checks return one pass/fail line each and never depend on execution order.
+``_CHECKS`` is the one table of (name, check) pairs, in the printed order. A
+check returns its PASS detail or raises ``_Failure(label, what)`` at its first
+counterexample; ``run_verification`` alone builds the result lines and runs
+every check whatever the others gave. Checks never depend on execution order.
 """
 
 from __future__ import annotations
@@ -98,6 +102,8 @@ class _Bundle:
     coeffs: list[int]
     spectrum: spectra.Spectrum
     laplacian: np.ndarray
+    stats: limits.LimitStats  # of the spectrum
+    probs: list[float]  # the normalized coefficients
 
 
 @dataclass
@@ -122,62 +128,58 @@ def _corpus() -> _Corpus:
                       exact.laplacian_coefficients_many([g for _, g in everything], matrices)))
     numeric = spectra.numeric_spectra(matrices[:len(graphs)])
     bundles = [
-        _Bundle(label=label, graph=g, coeffs=coeffs[label], spectrum=s, laplacian=lap)
+        _Bundle(label=label, graph=g, coeffs=coeffs[label], spectrum=s, laplacian=lap,
+                stats=limits.mean_variance(s), probs=limits.normalized_probabilities(coeffs[label]))
         for (label, g), lap, s in zip(graphs, matrices, numeric)
     ]
     return _Corpus(bundles, trees, coeffs)
 
 
-def _fail(name: str, label: str, what: str) -> CheckResult:
-    return CheckResult(name, False, f"{label}: {what}")
+class _Failure(Exception):
+    """A check's first counterexample, as (label, what failed)."""
 
 
-def _check_handshake(corpus: _Corpus) -> CheckResult:
-    name = "handshake degree sum"
+def _check_handshake(corpus: _Corpus) -> str:
     for b in corpus.bundles:
         if sum(b.graph.degrees()) != 2 * b.graph.edge_count:
-            return _fail(name, b.label, "degree sum != 2|E|")
-    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
+            raise _Failure(b.label, "degree sum != 2|E|")
+    return f"{len(corpus.bundles)} graphs"
 
 
-def _check_exact_identities(corpus: _Corpus) -> CheckResult:
-    name = "exact coefficient identities"
+def _check_exact_identities(corpus: _Corpus) -> str:
     for b in corpus.bundles:
         g, c = b.graph, b.coeffs
         n = g.n
         if c[n] != 1 or c[n - 1] != 2 * g.edge_count or (n >= 1 and c[0] != 0):
-            return _fail(name, b.label, "leading/edge/constant identity")
+            raise _Failure(b.label, "leading/edge/constant identity")
         if c[1] != n * exact._tree_count(b.laplacian):
-            return _fail(name, b.label, "c[1] != n * spanning tree count")
+            raise _Failure(b.label, "c[1] != n * spanning tree count")
         r = component_count(g)
         for k in range(n + 1):
             if (c[k] == 0) != (k < r):
-                return _fail(name, b.label, f"zero pattern at k={k}")
-    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
+                raise _Failure(b.label, f"zero pattern at k={k}")
+    return f"{len(corpus.bundles)} graphs"
 
 
-def _check_forest_oracle(corpus: _Corpus) -> CheckResult:
-    name = "forest-oracle equality"
+def _check_forest_oracle(corpus: _Corpus) -> str:
     small = [b for b in corpus.bundles if b.graph.n <= 7]
     for b in small:
         if exact.forest_sum_oracle(b.graph) != b.coeffs:
-            return _fail(name, b.label, "forest sum mismatch")
-    return CheckResult(name, True, f"all {len(small)} graphs <= 7 vertices")
+            raise _Failure(b.label, "forest sum mismatch")
+    return f"all {len(small)} graphs <= 7 vertices"
 
 
-def _check_path_matchings(corpus: _Corpus) -> CheckResult:
-    name = "path matching counts"
+def _check_path_matchings(corpus: _Corpus) -> str:
     for n in range(1, 21):
         g = make_family(FamilySpec("path", (n,)))
         got = exact.matching_counts(g)
         want = [math.comb(n - k, k) if n - k >= k else 0 for k in range(n // 2 + 1)]
         if got != want:
-            return _fail(name, f"path-{n}", "binomial identity mismatch")
-    return CheckResult(name, True, "paths up to 20 vertices")
+            raise _Failure(f"path-{n}", "binomial identity mismatch")
+    return "paths up to 20 vertices"
 
 
-def _check_tree_subdivision(corpus: _Corpus) -> CheckResult:
-    name = "tree subdivision matching identity"
+def _check_tree_subdivision(corpus: _Corpus) -> str:
     trees = [(label, t) for label, t in corpus.trees if t.n <= 9]
     for label, t in trees:
         n = t.n
@@ -186,20 +188,18 @@ def _check_tree_subdivision(corpus: _Corpus) -> CheckResult:
         for k in range(n + 1):
             want = m[n - k] if n - k < len(m) else 0
             if c[k] != want:
-                return _fail(name, label, f"c[{k}] != subdivision matching count")
-    return CheckResult(name, True, f"{len(trees)} trees, orders 4..9")
+                raise _Failure(label, f"c[{k}] != subdivision matching count")
+    return f"{len(trees)} trees, orders 4..9"
 
 
-def _check_tree_wiener(corpus: _Corpus) -> CheckResult:
-    name = "tree wiener identity"
+def _check_tree_wiener(corpus: _Corpus) -> str:
     for label, t in corpus.trees:
         if corpus.coeffs[label][2] != exact.wiener_index(t):
-            return _fail(name, label, "c[2] != wiener index")
-    return CheckResult(name, True, f"{len(corpus.trees)} trees")
+            raise _Failure(label, "c[2] != wiener index")
+    return f"{len(corpus.trees)} trees"
 
 
-def _check_sandwich(corpus: _Corpus) -> CheckResult:
-    name = "star-path coefficient sandwich"
+def _check_sandwich(corpus: _Corpus) -> str:
     orders = {t.n for _, t in corpus.trees}
     stars = {n: closed_form_coefficients("star", n) for n in orders}
     paths = {n: closed_form_coefficients("path", n) for n in orders}
@@ -209,18 +209,17 @@ def _check_sandwich(corpus: _Corpus) -> CheckResult:
         c = corpus.coeffs[label]
         for k in range(n + 1):
             if not lower[k] <= c[k] <= upper[k]:
-                return _fail(name, label, f"violated at k={k}")
-    return CheckResult(name, True, f"{len(corpus.trees)} trees, orders 4..12")
+                raise _Failure(label, f"violated at k={k}")
+    return f"{len(corpus.trees)} trees, orders 4..12"
 
 
-def _check_bipartite_signless(corpus: _Corpus) -> CheckResult:
-    name = "bipartite signless equality"
+def _check_bipartite_signless(corpus: _Corpus) -> str:
     bipartite = [b for b in corpus.bundles if is_bipartite(b.graph)]
     signless = exact.signless_coefficients_many(b.graph for b in bipartite)
     for b, q in zip(bipartite, signless):
         if q != b.coeffs:
-            return _fail(name, b.label, "signless != laplacian on bipartite graph")
-    return CheckResult(name, True, f"{len(bipartite)} bipartite graphs")
+            raise _Failure(b.label, "signless != laplacian on bipartite graph")
+    return f"{len(bipartite)} bipartite graphs"
 
 
 # every corpus family member with a closed coefficient formula
@@ -229,13 +228,12 @@ _CLOSED_FORM_CASES = tuple(
 )
 
 
-def _check_closed_form_coefficients(corpus: _Corpus) -> CheckResult:
-    name = "closed-form coefficient equality"
+def _check_closed_form_coefficients(corpus: _Corpus) -> str:
     for family, params in _CLOSED_FORM_CASES:
         label = _label(family, params)
         if closed_form_coefficients(family, *params) != corpus.coeffs[label]:
-            return _fail(name, label, "closed form != exact pipeline")
-    return CheckResult(name, True, f"{len(_CLOSED_FORM_CASES)} family members")
+            raise _Failure(label, "closed form != exact pipeline")
+    return f"{len(_CLOSED_FORM_CASES)} family members"
 
 
 _SPECTRUM_CASES = (
@@ -250,8 +248,7 @@ _SPECTRUM_CASES = (
 )
 
 
-def _check_closed_vs_numeric_spectra(corpus: _Corpus) -> CheckResult:
-    name = "closed-form vs numeric spectra"
+def _check_closed_vs_numeric_spectra(corpus: _Corpus) -> str:
     numeric = spectra.numeric_spectra(
         [exact.laplacian_matrix(make_family(FamilySpec(family, params)))
          for family, params in _SPECTRUM_CASES])
@@ -259,12 +256,11 @@ def _check_closed_vs_numeric_spectra(corpus: _Corpus) -> CheckResult:
         want = closed_form_spectrum(family, *params)
         gap = max(abs(a - b) for a, b in zip(want.values, got.values))
         if len(want) != len(got) or gap > 1e-8:
-            return _fail(name, f"{family}-{params}", f"eigenvalue gap {gap:.3e}")
-    return CheckResult(name, True, f"{len(_SPECTRUM_CASES)} family members, n <= 64")
+            raise _Failure(f"{family}-{params}", f"eigenvalue gap {gap:.3e}")
+    return f"{len(_SPECTRUM_CASES)} family members, n <= 64"
 
 
-def _check_bounds(corpus: _Corpus) -> CheckResult:
-    name = "eigenvalue bounds and trace"
+def _check_bounds(corpus: _Corpus) -> str:
     for b in corpus.bundles:
         g = b.graph
         lam_max = b.spectrum.values[0] if len(b.spectrum) else 0.0
@@ -272,16 +268,15 @@ def _check_bounds(corpus: _Corpus) -> CheckResult:
         if g.edges:
             am = spectra.anderson_morley_bound(g)
             if not (lam_max <= am + 1e-9 and am <= gersh):
-                return _fail(name, b.label, "bound chain violated")
+                raise _Failure(b.label, "bound chain violated")
         elif lam_max > 1e-9:
-            return _fail(name, b.label, "edgeless graph with nonzero eigenvalue")
+            raise _Failure(b.label, "edgeless graph with nonzero eigenvalue")
         if spectra.trace_check(b.spectrum, g) > 1e-8:
-            return _fail(name, b.label, "trace residual > 1e-8")
-    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
+            raise _Failure(b.label, "trace residual > 1e-8")
+    return f"{len(corpus.bundles)} graphs"
 
 
-def _check_reconstruction(corpus: _Corpus) -> CheckResult:
-    name = "coefficient reconstruction from spectrum"
+def _check_reconstruction(corpus: _Corpus) -> str:
     for b in corpus.bundles:
         approx = exact.coefficients_from_eigenvalues(b.spectrum.values.tolist())
         top = float(max(b.coeffs))
@@ -290,8 +285,8 @@ def _check_reconstruction(corpus: _Corpus) -> CheckResult:
             # eigenvalue residue, so their budget scales with the vector
             err = abs(approx[k] - c)
             if err > max(1e-6 * float(c), 1e-9 * top):
-                return _fail(name, b.label, f"coefficient {k} off by {err:.3e}")
-    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
+                raise _Failure(b.label, f"coefficient {k} off by {err:.3e}")
+    return f"{len(corpus.bundles)} graphs"
 
 
 def _cone_laplacian(lap: np.ndarray) -> np.ndarray:
@@ -304,8 +299,7 @@ def _cone_laplacian(lap: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_cone_transform(corpus: _Corpus) -> CheckResult:
-    name = "cone spectrum transform"
+def _check_cone_transform(corpus: _Corpus) -> str:
     cases = [(b.label, b.laplacian, b.spectrum) for b in corpus.bundles if 1 <= b.graph.n <= 12]
     cycles = [exact.laplacian_matrix(make_family(FamilySpec("cycle", (n,)))) for n in (15, 25, 40)]
     cases += [(f"cycle-{len(lap)}", lap, s)
@@ -315,95 +309,93 @@ def _check_cone_transform(corpus: _Corpus) -> CheckResult:
         got = spectra.cone_spectrum(s, len(lap))
         gap = max(abs(a - b) for a, b in zip(got.values, want.values))
         if gap > 1e-8:
-            return _fail(name, label, f"cone spectrum gap {gap:.3e}")
-    return CheckResult(name, True, f"{len(cases)} graphs")
+            raise _Failure(label, f"cone spectrum gap {gap:.3e}")
+    return f"{len(cases)} graphs"
 
 
-def _check_moment_consistency(corpus: _Corpus) -> CheckResult:
-    name = "moment consistency"
+def _check_moment_consistency(corpus: _Corpus) -> str:
     for b in corpus.bundles:
-        stats = limits.mean_variance(b.spectrum)
-        probs = limits.normalized_probabilities(b.coeffs)
-        mean = math.fsum(k * p for k, p in enumerate(probs))
-        var = math.fsum((k - mean) ** 2 * p for k, p in enumerate(probs))
-        if abs(mean - stats.mu) > 1e-8 or abs(var - stats.sigma2) > 1e-8:
-            return _fail(name, b.label, "coefficient moments != spectrum moments")
-    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
+        mean = math.fsum(k * p for k, p in enumerate(b.probs))
+        var = math.fsum((k - mean) ** 2 * p for k, p in enumerate(b.probs))
+        if abs(mean - b.stats.mu) > 1e-8 or abs(var - b.stats.sigma2) > 1e-8:
+            raise _Failure(b.label, "coefficient moments != spectrum moments")
+    return f"{len(corpus.bundles)} graphs"
 
 
-def _check_variance_bounds(corpus: _Corpus) -> CheckResult:
-    name = "variance lower bounds"
+def _check_variance_bounds(corpus: _Corpus) -> str:
     for b in corpus.bundles:
-        stats = limits.mean_variance(b.spectrum)
-        if stats.sigma2 + 1e-12 < limits.variance_lower_bound(b.graph):
-            return _fail(name, b.label, "sigma2 below edge/degree bound")
+        if b.stats.sigma2 + 1e-12 < limits.variance_lower_bound(b.graph):
+            raise _Failure(b.label, "sigma2 below edge/degree bound")
     for n in range(3, 12):
         stats = limits.mean_variance(closed_form_spectrum("wheel", n))
         if stats.sigma2 + 1e-12 < limits.cone_variance_lower_bound(n, 2):
-            return _fail(name, f"wheel-{n}", "sigma2 below cone bound")
-    return CheckResult(name, True, f"{len(corpus.bundles)} graphs + wheels 3..11")
+            raise _Failure(f"wheel-{n}", "sigma2 below cone bound")
+    return f"{len(corpus.bundles)} graphs + wheels 3..11"
 
 
-def _check_clt_scale_invariance(corpus: _Corpus) -> CheckResult:
-    name = "clt scale invariance"
+def _check_clt_scale_invariance(corpus: _Corpus) -> str:
     picked = [b for b in corpus.bundles if b.graph.edges][::10]
     for b in picked:
-        stats = limits.mean_variance(b.spectrum)
-        base = limits.clt_distance(limits.normalized_probabilities(b.coeffs), stats)
+        base = limits.clt_distance(b.probs, b.stats)
         scaled = limits.clt_distance(
-            limits.normalized_probabilities([7 * c for c in b.coeffs]), stats
+            limits.normalized_probabilities([7 * c for c in b.coeffs]), b.stats
         )
         if abs(base - scaled) > 1e-12:
-            return _fail(name, b.label, f"distance moved by {abs(base - scaled):.3e}")
-    return CheckResult(name, True, f"{len(picked)} graphs, factor 7")
+            raise _Failure(b.label, f"distance moved by {abs(base - scaled):.3e}")
+    return f"{len(picked)} graphs, factor 7"
 
 
-def _check_generator_determinism(corpus: _Corpus) -> CheckResult:
-    name = "generator determinism"
+def _check_generator_determinism(corpus: _Corpus) -> str:
     for n in (4, 9, 17):
         if random_tree(n, 42).edges != random_tree(n, 42).edges:
-            return _fail(name, f"rtree-{n}", "same seed, different edges")
+            raise _Failure(f"rtree-{n}", "same seed, different edges")
     for n, d in REGULAR_SHAPES:
         if random_regular(n, d, 7).edges != random_regular(n, d, 7).edges:
-            return _fail(name, f"regular-{n}-{d}", "same seed, different edges")
-    return CheckResult(name, True, "trees and regular graphs")
+            raise _Failure(f"regular-{n}-{d}", "same seed, different edges")
+    return "trees and regular graphs"
 
 
-def _check_probability_normalization(corpus: _Corpus) -> CheckResult:
-    name = "probability normalization"
+def _check_probability_normalization(corpus: _Corpus) -> str:
     for b in corpus.bundles:
-        probs = limits.normalized_probabilities(b.coeffs)
-        if abs(math.fsum(probs) - 1.0) > 1e-12:
-            return _fail(name, b.label, "probabilities do not sum to 1")
-        for p, c in zip(probs, b.coeffs):
+        if abs(math.fsum(b.probs) - 1.0) > 1e-12:
+            raise _Failure(b.label, "probabilities do not sum to 1")
+        for p, c in zip(b.probs, b.coeffs):
             if (p == 0.0) != (c == 0):
-                return _fail(name, b.label, "zero pattern mismatch")
-    return CheckResult(name, True, f"{len(corpus.bundles)} graphs")
+                raise _Failure(b.label, "zero pattern mismatch")
+    return f"{len(corpus.bundles)} graphs"
 
 
 _CHECKS = (
-    _check_handshake,
-    _check_exact_identities,
-    _check_forest_oracle,
-    _check_path_matchings,
-    _check_tree_subdivision,
-    _check_tree_wiener,
-    _check_sandwich,
-    _check_bipartite_signless,
-    _check_closed_form_coefficients,
-    _check_closed_vs_numeric_spectra,
-    _check_bounds,
-    _check_reconstruction,
-    _check_cone_transform,
-    _check_moment_consistency,
-    _check_variance_bounds,
-    _check_clt_scale_invariance,
-    _check_generator_determinism,
-    _check_probability_normalization,
+    ("handshake degree sum", _check_handshake),
+    ("exact coefficient identities", _check_exact_identities),
+    ("forest-oracle equality", _check_forest_oracle),
+    ("path matching counts", _check_path_matchings),
+    ("tree subdivision matching identity", _check_tree_subdivision),
+    ("tree wiener identity", _check_tree_wiener),
+    ("star-path coefficient sandwich", _check_sandwich),
+    ("bipartite signless equality", _check_bipartite_signless),
+    ("closed-form coefficient equality", _check_closed_form_coefficients),
+    ("closed-form vs numeric spectra", _check_closed_vs_numeric_spectra),
+    ("eigenvalue bounds and trace", _check_bounds),
+    ("coefficient reconstruction from spectrum", _check_reconstruction),
+    ("cone spectrum transform", _check_cone_transform),
+    ("moment consistency", _check_moment_consistency),
+    ("variance lower bounds", _check_variance_bounds),
+    ("clt scale invariance", _check_clt_scale_invariance),
+    ("generator determinism", _check_generator_determinism),
+    ("probability normalization", _check_probability_normalization),
 )
 
 
 def run_verification() -> list[CheckResult]:
-    """Run every invariant check over the pinned corpus, in the fixed order."""
+    """Run every invariant check over the pinned corpus, in the fixed order;
+    a failing check reports its first counterexample and the rest still run."""
     corpus = _corpus()
-    return [check(corpus) for check in _CHECKS]
+    results = []
+    for name, check in _CHECKS:
+        try:
+            ok, detail = True, check(corpus)
+        except _Failure as failure:
+            ok, detail = False, "%s: %s" % failure.args
+        results.append(CheckResult(name, ok, detail))
+    return results

@@ -27,6 +27,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from operator import index
 from typing import Callable
 
 import numpy as np
@@ -316,9 +317,10 @@ def family_record(family: str) -> Family:
 @dataclass(frozen=True)
 class FamilySpec:
     """A named graph family together with its size parameters and, for the
-    seeded families only, a seed. Construction checks the family's size rule
-    and the vertex budget, so a spec always names a graph that may be built,
-    and stores its closed-form n, edge_count and max_degree as a Graph has them.
+    seeded families only, a seed. Construction checks that the sizes are
+    integers (stored as Python ints), the family's size rule and the vertex
+    budget, so a spec always names a graph that may be built, and stores its
+    closed-form n, edge_count and max_degree as a Graph has them.
     """
 
     family: str
@@ -330,6 +332,10 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         record = family_record(self.family)
+        try:
+            object.__setattr__(self, "size", tuple(map(index, self.size)))
+        except TypeError:
+            raise InputError(f"size parameters must be integers, got {self.size!r}") from None
         if len(self.size) != record.arity or any(
                 s < low for s, low in zip(self.size, record.minimum)):
             raise InputError(
@@ -394,8 +400,8 @@ def _output_digits(s: Spectrum) -> int:
 def family_coefficients(source: FamilySpec | Graph, signless: bool = False) -> list[int]:
     """The exact (signless) Laplacian coefficients by the rule of
     ``family_member``: the family's formula, never built, or else the exact
-    charpoly, a spec's graph built only once the charpoly guard and the
-    dense guard pass on the spec's closed-form n and |E|.
+    charpoly, a spec's graph built only once the charpoly guard passes on the
+    spec's closed-form n and |E|; it refuses every n far below the dense guard.
 
     Each formula takes O(n) big-integer steps, every one an exact division
     checked by its remainder (ArithmeticError otherwise), where the general
@@ -416,7 +422,6 @@ def family_coefficients(source: FamilySpec | Graph, signless: bool = False) -> l
                 )
             return record.coefficients(*source.size)
         exact.charpoly_guard(source.n, source.edge_count)
-        exact.dense_guard(source.n)
         source = make_family(source)
     return exact.signless_coefficients(source) if signless else exact.laplacian_coefficients(source)
 

@@ -76,8 +76,9 @@ class Graph:
 
 
 def graph_from_edge_list(n: int, pairs) -> Graph:
-    """Build a graph from explicit vertex pairs, deduplicating repeats."""
-    return Graph(n, frozenset(tuple(p) for p in pairs))
+    """Build a graph from explicit vertex pairs, deduplicating repeats; Graph
+    refuses anything that is not a pair of integer vertices."""
+    return Graph(n, pairs)
 
 
 def empty_graph(n: int) -> Graph:
@@ -88,16 +89,12 @@ def empty_graph(n: int) -> Graph:
 # combinators
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    shifted = {(u + g1.n, v + g1.n) for u, v in g2.edges}
-    return Graph(g1.n + g2.n, g1.edges | frozenset(shifted))
-
-
 def join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus every edge between the two vertex sets."""
-    base = disjoint_union(g1, g2)
+    """Disjoint union, g2's vertices shifted past g1's, plus every edge
+    between the two vertex sets."""
+    shifted = {(u + g1.n, v + g1.n) for u, v in g2.edges}
     cross = {(u, g1.n + v) for u in range(g1.n) for v in range(g2.n)}
-    return Graph(base.n, base.edges | frozenset(cross))
+    return Graph(g1.n + g2.n, g1.edges | frozenset(shifted) | frozenset(cross))
 
 
 def cone(g: Graph) -> Graph:
@@ -168,10 +165,6 @@ def is_bipartite(g: Graph) -> bool:
         if dist[start] < 0:
             bfs_distances(adj, start, dist)
     return all(dist[u] % 2 != dist[v] % 2 for u, v in g.edges)
-
-
-def is_tree(g: Graph) -> bool:
-    return g.n >= 1 and g.edge_count == g.n - 1 and component_count(g) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Laplacian spectra: a dense symmetric eigensolver, spectral transforms for
-joins and cones, and eigenvalue bounds.
+"""Laplacian spectra: a dense symmetric eigensolver, the spectral transform
+of a cone, and eigenvalue bounds.
 
 The numeric solver is LAPACK's symmetric eigensolver through numpy
 ``eigvalsh``: ``numeric_spectra`` takes matrices of any orders and stacks
@@ -23,7 +23,7 @@ from .graphs import Graph
 # negative eigenvalues within 10 * SNAP_TOL * ||A||_F of zero are snapped to 0
 SNAP_TOL = 1e-12
 TRACE_TOL = 1e-8
-# how close to zero the eigenvalue a join or cone consumes must be
+# how close to zero the eigenvalue a cone consumes must be
 ZERO_MATCH_TOL = 1e-8
 
 
@@ -111,32 +111,16 @@ def numeric_spectrum(matrix) -> Spectrum:
     return numeric_spectra([matrix])[0]
 
 
-def _drop_one_zero(s: Spectrum, what: str) -> np.ndarray:
+def cone_spectrum(s: Spectrum, n: int) -> Spectrum:
+    """Laplacian spectrum of the cone over an n-vertex graph, from the
+    graph's: consumes one zero eigenvalue (the smallest), adds 0 and n + 1,
+    and shifts the remaining eigenvalues by 1."""
+    if len(s) != n or n < 1:
+        raise InputError(f"cone needs the spectrum of a nonempty graph of {n} vertices")
     smallest = float(s.values[-1])
     if abs(smallest) > ZERO_MATCH_TOL:
-        raise InputError(f"{what} spectrum has no zero eigenvalue (smallest {smallest!r})")
-    return s.values[:-1]
-
-
-def join_spectrum(s1: Spectrum, n1: int, s2: Spectrum, n2: int) -> Spectrum:
-    """Laplacian spectrum of the join, from the two input spectra.
-
-    Consumes exactly one zero eigenvalue of each input (the smallest), adds
-    0 and n1 + n2, and shifts the remaining eigenvalues by the opposite
-    vertex count.
-    """
-    if len(s1) != n1 or len(s2) != n2:
-        raise InputError("spectrum length must equal the stated vertex count")
-    if n1 < 1 or n2 < 1:
-        raise InputError("join needs nonempty parts")
-    values = np.concatenate(([0.0, float(n1 + n2)], n2 + _drop_one_zero(s1, "first"),
-                             n1 + _drop_one_zero(s2, "second")))
-    return Spectrum(values, exact=s1.exact and s2.exact)
-
-
-def cone_spectrum(s: Spectrum, n: int) -> Spectrum:
-    """Spectrum of the cone over a graph with the given spectrum."""
-    return join_spectrum(s, n, Spectrum((0.0,), exact=True), 1)
+        raise InputError(f"spectrum has no zero eigenvalue (smallest {smallest!r})")
+    return Spectrum(np.concatenate(([0.0, float(n + 1)], 1 + s.values[:-1])), exact=s.exact)
 
 
 def gershgorin_bound(g: Graph) -> int:

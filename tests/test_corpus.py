@@ -1,6 +1,6 @@
 import numpy as np
 
-from lapstats import exact
+from lapstats import cli, exact, limits
 from lapstats.corpus import (
     _check_cone_transform,
     _check_exact_identities,
@@ -72,12 +72,35 @@ def test_corpus_builds_each_laplacian_once(monkeypatch):
     # every corpus graph and every extra tree, once each
     assert len(built) == len(corpus.coeffs) == 314
     built.clear()
-    assert _check_cone_transform(corpus).ok
+    assert _check_cone_transform(corpus) == "257 graphs"
     # only the three cycles that are not corpus graphs
     assert [g.n for g in built] == [15, 25, 40]
     built.clear()
-    assert _check_exact_identities(corpus).ok
+    assert _check_exact_identities(corpus) == "254 graphs"
     assert built == []  # spanning tree minors come from the bundles' Laplacians
+
+
+def test_verify_takes_each_bundles_moments_once(monkeypatch):
+    calls = {"mean_variance": 0, "normalized_probabilities": 0}
+    for name in calls:
+        def counted(*args, real=getattr(limits, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(limits, name, counted)
+    assert all(r.ok for r in run_verification())
+    # one per corpus graph, plus the wheels of the cone bound and the
+    # rescaled vectors of the clt check
+    assert calls == {"mean_variance": 254 + 9, "normalized_probabilities": 254 + 25}
+
+
+def test_a_failing_check_is_reported_and_the_rest_still_run(monkeypatch, capsys):
+    monkeypatch.setattr(exact, "wiener_index", lambda t: -1)
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 19
+    assert lines[5] == "tree wiener identity: FAIL (rtree-4-s00: c[2] != wiener index)"
+    assert sum(line.split(": ")[1].startswith("PASS (") for line in lines[:18]) == 17
+    assert lines[-1] == "verification: FAIL (17/18 checks)"
 
 
 def test_cone_laplacian_is_the_built_one():

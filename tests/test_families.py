@@ -3,6 +3,7 @@ import hashlib
 import math
 import time
 
+import numpy as np
 import pytest
 
 from lapstats import cli, families
@@ -17,6 +18,7 @@ from lapstats.families import (
     FamilySpec,
     closed_form_coefficients,
     closed_form_spectrum,
+    family_coefficients,
     make_family,
 )
 
@@ -52,6 +54,29 @@ def test_table_shape_matches_built_graph(family, size, seed):
 def test_closed_form_size_rule(call):
     with pytest.raises(InputError):
         call()
+
+
+# each used to end in a TypeError traceback from inside a builder or formula
+@pytest.mark.parametrize("call", [
+    lambda: make_family(FamilySpec("path", (2.5,))),
+    lambda: closed_form_coefficients("complete", 3.0),
+    lambda: closed_form_coefficients("path", "3"),
+    lambda: family_coefficients(FamilySpec("wheel", (4.0,))),
+    lambda: FamilySpec("complete_bipartite", (2, None)),
+    lambda: FamilySpec("path", 3),
+], ids=["float-path", "float-complete", "text-path", "float-wheel", "none", "not-a-tuple"])
+def test_non_integer_sizes_are_an_input_error(call):
+    with pytest.raises(InputError, match="size parameters must be integers"):
+        call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    spec = FamilySpec("complete_bipartite", (np.int64(2), np.uint8(3)))
+    assert spec == FamilySpec("complete_bipartite", (2, 3))
+    assert all(type(s) is int for s in spec.size)
+    assert closed_form_coefficients("path", np.int32(4)) == closed_form_coefficients("path", 4)
+    assert make_family(FamilySpec("random_tree", [np.intp(6)], 1)) == make_family(
+        FamilySpec("random_tree", (6,), 1))
 
 
 def test_vertex_budget_checked_before_building(no_graphs):

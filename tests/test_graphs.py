@@ -16,11 +16,9 @@ from lapstats.graphs import (
     component_count,
     Graph,
     cone,
-    disjoint_union,
     empty_graph,
     graph_from_edge_list,
     is_bipartite,
-    is_tree,
     join,
     parse_edge_list,
     subdivision,
@@ -57,7 +55,9 @@ class TestEdgeListConstruction:
         (3, [(0,)]),
         (2.5, []),
         ("3", [(0, 1)]),
-    ], ids=["float-endpoint", "triple", "text-endpoint", "single", "float-n", "text-n"])
+        (3, [5]),
+    ], ids=["float-endpoint", "triple", "text-endpoint", "single", "float-n", "text-n",
+            "not-a-pair"])
     def test_non_integer_vertices_are_an_input_error(self, n, edges):
         with pytest.raises(InputError):
             graph_from_edge_list(n, edges)
@@ -122,6 +122,11 @@ class TestCombinators:
     def test_join_of_singletons_is_k2(self):
         assert join(empty_graph(1), empty_graph(1)).edges == fam("complete", 2).edges
 
+    def test_join_shifts_the_second_graphs_edges(self):
+        assert join(fam("complete", 2), fam("complete", 2)).edges == fam("complete", 4).edges
+        g = join(fam("path", 3), fam("complete", 2))
+        assert g.edges == {(0, 1), (1, 2), (3, 4)} | {(u, v) for u in range(3) for v in (3, 4)}
+
     def test_cone_over_triangle_is_k4(self):
         g = cone(fam("cycle", 3))
         assert g.edge_count == 6 and g.n == 4
@@ -143,12 +148,13 @@ class TestCombinators:
         assert sorted(g.degrees()) == sorted(fam("star", 5).degrees())
 
     def test_subdivision_of_path(self):
-        assert subdivision(fam("path", 3)).edge_count == fam("path", 5).edge_count
-        assert is_tree(subdivision(fam("path", 3)))
+        g = subdivision(fam("path", 3))
+        assert g.edge_count == fam("path", 5).edge_count
+        assert g.edge_count == g.n - 1 and component_count(g) == 1
 
     def test_subdivision_of_k2_is_p3(self):
         g = subdivision(fam("complete", 2))
-        assert g.n == 3 and g.edge_count == 2 and is_tree(g)
+        assert g.n == 3 and g.edge_count == 2 and component_count(g) == 1
 
     def test_subdivision_of_cycle(self):
         g = subdivision(fam("cycle", 5))
@@ -164,10 +170,6 @@ class TestCombinators:
         for d in (1, 2, 3, 4):
             got = cartesian_product(fam("complete", 2), fam("hypercube", d - 1))
             assert got.edges == fam("hypercube", d).edges
-
-    def test_disjoint_union(self):
-        g = disjoint_union(fam("complete", 2), fam("complete", 2))
-        assert g.edges == fam("matching_union", 2).edges
 
 
 class TestRandomGenerators:
@@ -193,7 +195,7 @@ class TestRandomGenerators:
 
     def test_tree_structure(self):
         g = random_tree(8, seed=42)
-        assert g.edge_count == 7 and is_tree(g)
+        assert g.edge_count == g.n - 1 and component_count(g) == 1
 
     def test_tree_reproducible(self):
         assert random_tree(12, 3).edges == random_tree(12, 3).edges

@@ -16,7 +16,6 @@ from lapstats.spectra import (
     anderson_morley_bound,
     cone_spectrum,
     gershgorin_bound,
-    join_spectrum,
     numeric_spectra,
     numeric_spectrum,
     trace_check,
@@ -322,7 +321,8 @@ class TestTransforms:
         assert got.values.tolist() == [4.0, 4.0, 4.0, 0.0]
 
     def test_join_of_singletons(self):
-        got = join_spectrum(Spectrum((0.0,)), 1, Spectrum((0.0,)), 1)
+        # the cone over K1 is the join of two singletons, K2
+        got = cone_spectrum(Spectrum((0.0,)), 1)
         assert got.values.tolist() == [2.0, 0.0]
 
     def test_cone_matches_direct_wheel(self):
