@@ -9,10 +9,13 @@ environment variables are consulted.
 of one input, from one table, so each of their flags is declared once. Each
 command reads the parsed arguments once ``_check`` has parsed --n and
 --ladder. ``_input`` reads an edge list or names a family member as a
-``FamilySpec``, not built; ``families`` takes it by the closed form wherever
-the family has one and otherwise builds it only once the spec's closed forms
-pass the guards of the route it feeds, so an over-budget family exits 3
-before any graph is built.
+``FamilySpec``, not built, and each command hands either to one route
+(``family_coefficients``, ``family_member`` or ``diagnostics.diagnose``)
+without asking which it is. ``families`` takes a spec by the closed form
+wherever the family has one and otherwise builds it only once the spec's
+closed forms pass the guards of the route it feeds, so an over-budget family
+exits 3 before any graph is built; a sweep makes the spec of every ladder
+entry before its first row.
 """
 
 from __future__ import annotations
@@ -165,9 +168,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    source = _input(args)
-    rows = [diagnostics.diagnose_graph(source) if isinstance(source, Graph)
-            else diagnostics.diagnose_family(source)]
+    rows = [diagnostics.diagnose(_input(args))]
     text = serialize.rows_json(rows) if args.format == "json" else serialize.rows_csv(rows)
     _emit(args, text)
     return 0

@@ -2,18 +2,22 @@
 
 A row bundles the structural facts (edges, max degree), the spectrum-side
 statistics, the distribution distances and a verdict, Poisson-regime exactly
-for the families with a Poisson reference law. Every row takes its member
-and spectrum from ``families.family_member`` and its probabilities from one
-route, the Poisson-binomial expansion of the spectrum
-(``limits.probabilities_from_spectrum``). Sweeps map a family over a size
-ladder, one row per entry in ascending size order.
+for the families with a Poisson reference law. ``diagnose`` is the one route
+to a row, from a named member (a ``FamilySpec``) or any graph: it takes the
+member and spectrum from ``families.family_member``, the probabilities from
+the Poisson-binomial expansion of the spectrum
+(``limits.probabilities_from_spectrum``), and for a member the verdict, the
+Poisson reference and the per-vertex limits from its family record, and
+builds the frozen row in one call. Sweeps map a family over a size ladder,
+one row per entry in ascending size order; every entry's spec is checked
+before the first row is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import limits, spectra
+from . import limits
 from .errors import InputError
 from .families import FamilySpec, family_member, family_record
 from .graphs import Graph
@@ -23,7 +27,7 @@ VERDICT_NORMAL = "normal-regime"
 VERDICT_UNKNOWN = "indeterminate"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiagnosticsRow:
     family: str | None
     n: int
@@ -36,16 +40,22 @@ class DiagnosticsRow:
     llt_distance: float
     poisson_distance: float | None
     verdict: str
-    mu_per_vertex_err: float | None = None
-    sigma2_per_vertex_err: float | None = None
+    mu_per_vertex_err: float | None
+    sigma2_per_vertex_err: float | None
 
 
-def _row(family: str | None, member: Graph | FamilySpec, spectrum: spectra.Spectrum,
-         poisson: tuple[float, int] | None = None) -> DiagnosticsRow:
+def diagnose(source: FamilySpec | Graph) -> DiagnosticsRow:
+    """The diagnostic row of a named family member or of any graph. A
+    member's family record gives the verdict, the Poisson reference law and
+    the per-vertex limits; a graph has none of them."""
+    member, spectrum = family_member(source)
+    record = family_record(source.family) if isinstance(source, FamilySpec) else None
+    poisson = record.poisson(*source.size) if record and record.poisson else None
+    mu_c, s2_c = record.limits if record and record.limits else (None, None)
     stats = limits.mean_variance(spectrum)
     probs = limits.probabilities_from_spectrum(spectrum)
     return DiagnosticsRow(
-        family=family,
+        family=None if record is None else source.family,
         n=member.n,
         edges=member.edge_count,
         max_degree=member.max_degree,
@@ -55,34 +65,21 @@ def _row(family: str | None, member: Graph | FamilySpec, spectrum: spectra.Spect
         clt_distance=limits.clt_distance(probs, stats),
         llt_distance=limits.llt_distance(probs, stats),
         poisson_distance=None if poisson is None else limits.poisson_distance(probs, *poisson),
-        verdict=VERDICT_UNKNOWN,
+        verdict=(VERDICT_UNKNOWN if record is None
+                 else VERDICT_NORMAL if record.poisson is None else VERDICT_POISSON),
+        mu_per_vertex_err=None if mu_c is None else abs(stats.mu / member.n - mu_c),
+        sigma2_per_vertex_err=None if s2_c is None else abs(stats.sigma2 / member.n - s2_c),
     )
-
-
-def diagnose_family(spec: FamilySpec) -> DiagnosticsRow:
-    """Full diagnostic row for one family member."""
-    record = family_record(spec.family)
-    row = _row(spec.family, *family_member(spec),
-               record.poisson(*spec.size) if record.poisson else None)
-    row.verdict = VERDICT_NORMAL if record.poisson is None else VERDICT_POISSON
-    if record.limits is not None:
-        mu_c, s2_c = record.limits
-        row.mu_per_vertex_err = abs(row.mu / row.n - mu_c)
-        row.sigma2_per_vertex_err = abs(row.sigma2 / row.n - s2_c)
-    return row
-
-
-def diagnose_graph(g: Graph) -> DiagnosticsRow:
-    """Diagnostic row for an arbitrary graph (no family knowledge)."""
-    return _row(None, *family_member(g))
 
 
 def run_sweep(family: str, ladder, seed: int | None = None) -> list[DiagnosticsRow]:
     """One diagnostic row per ladder entry, ordered by ascending size
     parameters. An entry is an integer for every size parameter or a tuple
-    with one value per parameter."""
+    with one value per parameter. Every entry's spec is made, and so
+    checked, before the first row."""
     arity = family_record(family).arity
     sizes = sorted(size if isinstance(size, tuple) else (size,) * arity for size in ladder)
     if not sizes:
         raise InputError("sweep ladder must be nonempty")
-    return [diagnose_family(FamilySpec(family, size, seed)) for size in sizes]
+    specs = [FamilySpec(family, size, seed) for size in sizes]
+    return [diagnose(spec) for spec in specs]

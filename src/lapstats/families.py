@@ -34,7 +34,7 @@ import numpy as np
 
 from . import exact, spectra
 from .errors import GuardExceeded, InputError
-from .graphs import MAX_EDGES, MAX_VERTICES, Graph, cone, empty_graph, join
+from .graphs import MAX_EDGES, MAX_VERTICES, Graph, cone, join
 from .spectra import Spectrum
 
 _REGULAR_RETRY_LIMIT = 10_000
@@ -80,7 +80,12 @@ def _random_regular(n: int, d: int, seed: int) -> Graph:
     """Configuration-model pairing with full restart whenever the pairing
     produces a loop or a repeated edge; each restart reseeds from (seed,
     attempt counter) so the whole draw is a pure function of the arguments.
+    An attempt is simple with probability about exp(-(d^2 - 1) / 4) (Bender
+    and Canfield), below one in the retry limit from d = 7 on: refused at once.
     """
+    if (d * d - 1) / 4 > math.log(_REGULAR_RETRY_LIMIT):
+        raise GuardExceeded(f"a {d}-regular pairing is simple about once in "
+                            f"exp({(d * d - 1) / 4}) attempts, above the limit of {_REGULAR_RETRY_LIMIT}")
     for attempt in range(_REGULAR_RETRY_LIMIT):
         rng = random.Random(seed * 1_000_003 + attempt)
         stubs = [v for v in range(n) for _ in range(d)]
@@ -108,7 +113,7 @@ def _random_regular(n: int, d: int, seed: int) -> Graph:
 def _random_tree(n: int, seed: int) -> Graph:
     """Decode a random Pruefer sequence."""
     if n == 1:
-        return empty_graph(1)
+        return Graph(1)
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -243,7 +248,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "complete_bipartite": Family(
         minimum=(1, 1),
-        build=lambda m, n: join(empty_graph(m), empty_graph(n)),
+        build=lambda m, n: join(Graph(m), Graph(n)),
         order=lambda m, n: m + n,
         edges=lambda m, n: m * n,
         max_degree=max,
@@ -317,10 +322,10 @@ def family_record(family: str) -> Family:
 @dataclass(frozen=True)
 class FamilySpec:
     """A named graph family together with its size parameters and, for the
-    seeded families only, a seed. Construction checks that the sizes are
-    integers (stored as Python ints), the family's size rule and the vertex
-    budget, so a spec always names a graph that may be built, and stores its
-    closed-form n, edge_count and max_degree as a Graph has them.
+    seeded families only, a seed. Construction checks that the sizes and the
+    seed are integers (stored as Python ints), the family's size rule and the
+    vertex budget, so a spec always names a graph that may be built, and
+    stores its closed-form n, edge_count and max_degree as a Graph has them.
     """
 
     family: str
@@ -350,6 +355,10 @@ class FamilySpec:
                 f"seed must be given exactly for random families; family "
                 f"{self.family!r} with seed {self.seed!r}"
             )
+        try:
+            object.__setattr__(self, "seed", None if self.seed is None else index(self.seed))
+        except TypeError:
+            raise InputError(f"seed must be an integer, got {self.seed!r}") from None
         # n is at least every size parameter, so the first test keeps the
         # exponential orders (hypercube, binary tree) from growing huge
         if max(self.size) > MAX_VERTICES or (n := record.order(*self.size)) > MAX_VERTICES:

@@ -23,7 +23,8 @@ MAX_EDGES = 1 << 21
 
 @dataclass(frozen=True)
 class Graph:
-    """An immutable simple undirected graph on vertices 0..n-1."""
+    """An immutable simple undirected graph on vertices 0..n-1; ``Graph(n,
+    pairs)`` takes vertex pairs in either order, repeats dropped."""
 
     n: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
@@ -75,16 +76,6 @@ class Graph:
         return adj
 
 
-def graph_from_edge_list(n: int, pairs) -> Graph:
-    """Build a graph from explicit vertex pairs, deduplicating repeats; Graph
-    refuses anything that is not a pair of integer vertices."""
-    return Graph(n, pairs)
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, frozenset())
-
-
 # ---------------------------------------------------------------------------
 # combinators
 
@@ -99,7 +90,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 def cone(g: Graph) -> Graph:
     """Join with a single new apex vertex (index n)."""
-    return join(g, empty_graph(1))
+    return join(g, Graph(1))
 
 
 def subdivision(g: Graph) -> Graph:
@@ -204,7 +195,7 @@ def parse_edge_list(text: str) -> Graph:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise InputError(f"line {lineno}: expected integers, got {line!r}") from None
-    return graph_from_edge_list(n, pairs)
+    return Graph(n, pairs)
 
 
 def read_edge_list(path) -> Graph:

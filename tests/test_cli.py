@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from lapstats import cli, exact, serialize
+from lapstats import cli, diagnostics, exact, serialize
 from lapstats.errors import GuardExceeded
 from lapstats.families import FamilySpec, make_family
 from test_limits import reference_row
@@ -194,6 +194,18 @@ class TestDiagnoseAndSweep:
         code, out, err = run_cli(capsys, "sweep", "--family", "random_regular",
                                  "--ladder", ladder, "--seed", "1")
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("family, ladder", [
+        ("path", "10,1048577"), ("hypercube", "30,3"), ("complete_bipartite", "3:3,1048576:1")])
+    def test_sweep_checks_every_entry_before_the_first_row(self, capsys, monkeypatch,
+                                                           family, ladder):
+        diagnosed = []
+        diagnose = diagnostics.diagnose
+        monkeypatch.setattr(diagnostics, "diagnose",
+                            lambda spec: diagnosed.append(spec) or diagnose(spec))
+        code, out, err = run_cli(capsys, "sweep", "--family", family, "--ladder", ladder)
+        assert code == 3 and out == "" and "budget" in err
+        assert diagnosed == []
 
     def test_seeded_family_is_reproducible(self, capsys):
         args = ("diagnose", "--family", "random_tree", "--n", "30", "--seed", "5")

@@ -12,8 +12,7 @@ from lapstats.diagnostics import (
     VERDICT_POISSON,
     VERDICT_UNKNOWN,
     DiagnosticsRow,
-    diagnose_family,
-    diagnose_graph,
+    diagnose,
     run_sweep,
 )
 from lapstats.errors import InputError
@@ -26,7 +25,7 @@ from lapstats.families import (
     random_regular,
     random_tree,
 )
-from lapstats.graphs import graph_from_edge_list
+from lapstats.graphs import Graph
 from lapstats.limits import (
     clt_distance,
     cone_variance_lower_bound,
@@ -39,39 +38,44 @@ from lapstats.spectra import cone_spectrum, numeric_spectrum
 
 class TestDiagnose:
     def test_complete_50_is_poisson_regime(self):
-        row = diagnose_family(FamilySpec("complete", (50,)))
+        row = diagnose(FamilySpec("complete", (50,)))
         assert row.verdict == VERDICT_POISSON
         assert row.poisson_distance is not None and row.poisson_distance <= 0.02
         assert row.n == 50 and row.edges == 1225 and row.max_degree == 49
 
     def test_balanced_bipartite_gets_poisson_distance(self):
-        row = diagnose_family(FamilySpec("complete_bipartite", (25, 25)))
+        row = diagnose(FamilySpec("complete_bipartite", (25, 25)))
         assert row.verdict == VERDICT_POISSON
         assert row.poisson_distance is not None and row.poisson_distance <= 0.05
 
     def test_unbalanced_bipartite_has_no_reference(self):
-        assert diagnose_family(FamilySpec("complete_bipartite", (3, 7))).poisson_distance is None
+        assert diagnose(FamilySpec("complete_bipartite", (3, 7))).poisson_distance is None
 
     def test_path_is_normal_regime_with_convergence_columns(self):
-        row = diagnose_family(FamilySpec("path", (100,)))
+        row = diagnose(FamilySpec("path", (100,)))
         assert row.verdict == VERDICT_NORMAL
         assert row.poisson_distance is None
         assert row.mu_per_vertex_err is not None and row.sigma2_per_vertex_err is not None
 
     def test_star_has_no_convergence_columns(self):
-        row = diagnose_family(FamilySpec("star", (40,)))
+        row = diagnose(FamilySpec("star", (40,)))
         assert row.mu_per_vertex_err is None
 
     def test_arbitrary_graph(self):
-        g = graph_from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        row = diagnose_graph(g)
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        row = diagnose(g)
         assert row.family is None and row.verdict == VERDICT_UNKNOWN
         assert row.sigma2 >= row.sigma2_lower_bound - 1e-12
+
+    def test_row_is_built_whole(self):
+        row = diagnose(FamilySpec("path", (10,)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.verdict = VERDICT_UNKNOWN
 
     def test_large_wheel_uses_spectral_probabilities(self):
         # vertex count above the exact-pipeline cap; distances must still
         # be finite and the variance bound must hold
-        row = diagnose_family(FamilySpec("wheel", (300,)))
+        row = diagnose(FamilySpec("wheel", (300,)))
         assert 0.0 < row.clt_distance < 1.0
         assert row.llt_distance > 0.0
         assert row.sigma2 >= cone_variance_lower_bound(300, 2) - 1e-9
@@ -131,13 +135,13 @@ class TestExactRouteOracle:
         graphs.append(random_tree(60, 11))
         for g in graphs:
             stats = mean_variance(numeric_spectrum(laplacian_matrix(g)))
-            self._assert_close(diagnose_graph(g), laplacian_coefficients(g), stats)
+            self._assert_close(diagnose(g), laplacian_coefficients(g), stats)
 
     @pytest.mark.parametrize("family, size", [
         ("path", (3000,)), ("star", (3000,)), ("complete_bipartite", (500, 500)),
         ("complete", (2000,))])
     def test_large_families(self, family, size):
-        row = diagnose_family(FamilySpec(family, size))
+        row = diagnose(FamilySpec(family, size))
         stats = mean_variance(closed_form_spectrum(family, *size))
         self._assert_close(row, closed_form_coefficients(family, *size), stats)
 
@@ -154,8 +158,8 @@ class TestPythonFloatsOnly:
         g = random_regular(30, 4, seed=3)
         members = [("complete", (50,)), ("complete_bipartite", (25, 25)), ("path", (100,)),
                    ("wheel", (30,)), ("hypercube", (5,))]
-        return [diagnose_family(FamilySpec(f, size)) for f, size in members] + [
-            diagnose_graph(g), diagnose_graph(random_tree(40, seed=2))]
+        return [diagnose(FamilySpec(f, size)) for f, size in members] + [
+            diagnose(g), diagnose(random_tree(40, seed=2))]
 
     def test_row_float_fields(self):
         assert {"mu", "clt_distance", "poisson_distance", "mu_per_vertex_err"} <= set(_FLOAT_FIELDS)

@@ -22,11 +22,7 @@ from lapstats.exact import (
     wiener_index,
 )
 from lapstats.families import FamilySpec, closed_form_coefficients, make_family, random_tree
-from lapstats.graphs import (
-    empty_graph,
-    graph_from_edge_list,
-    subdivision,
-)
+from lapstats.graphs import Graph, subdivision
 from lapstats.spectra import numeric_spectra, numeric_spectrum
 
 
@@ -53,7 +49,7 @@ class TestMatrices:
         assert signless_laplacian_matrix(fam("complete", 2)).tolist() == [[1, 1], [1, 1]]
 
     def test_empty_graph_is_zero_matrix(self):
-        assert laplacian_matrix(empty_graph(3)).tolist() == [[0] * 3 for _ in range(3)]
+        assert laplacian_matrix(Graph(3)).tolist() == [[0] * 3 for _ in range(3)]
 
     def test_laplacian_rows_sum_to_zero(self):
         for row in laplacian_matrix(fam("wheel", 6)).tolist():
@@ -115,7 +111,7 @@ class TestCoefficients:
         assert laplacian_coefficients(fam("path", 3)) == [0, 3, 4, 1]
 
     def test_empty(self):
-        assert laplacian_coefficients(empty_graph(4)) == [0, 0, 0, 0, 1]
+        assert laplacian_coefficients(Graph(4)) == [0, 0, 0, 0, 1]
 
     def test_edge_and_leading_identities(self):
         for g in (fam("wheel", 7), fam("hypercube", 3), fam("complete_bipartite", 3, 4)):
@@ -171,14 +167,14 @@ def seeded_graphs(count, max_n, max_edges):
     """Seeded random graphs on up to ``max_n`` vertices and ``max_edges``
     edges, so isolated vertices and several components occur."""
     rng = random.Random(17)
-    out = [empty_graph(0), empty_graph(3),
-           graph_from_edge_list(7, [(0, 1), (1, 2), (4, 5)]),
-           graph_from_edge_list(8, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7), (4, 7)])]
+    out = [Graph(0), Graph(3),
+           Graph(7, [(0, 1), (1, 2), (4, 5)]),
+           Graph(8, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7), (4, 7)])]
     while len(out) < count:
         n = rng.randint(1, max_n)
         pairs = list(itertools.combinations(range(n), 2))
         edges = rng.sample(pairs, min(len(pairs), rng.randint(0, max_edges)))
-        out.append(graph_from_edge_list(n, edges))
+        out.append(Graph(n, edges))
     return out
 
 
@@ -194,8 +190,8 @@ class TestOraclesAgainstBruteForce:
     def test_isolated_vertices_beyond_a_byte(self):
         # each isolated vertex multiplies the polynomial by x; vertices that
         # touch no edge never enter a partition, so labels past 255 are fine
-        g = graph_from_edge_list(600, [(0, 599), (599, 300), (3, 4)])
-        compact = graph_from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
+        g = Graph(600, [(0, 599), (599, 300), (3, 4)])
+        compact = Graph(5, [(0, 1), (1, 2), (3, 4)])
         assert forest_sum_oracle(g) == [0] * 595 + brute_forest_sum(compact)
         assert matching_counts(g) == brute_matching_counts(compact) + [0] * 298
 
@@ -230,7 +226,7 @@ class TestForestOracle:
 
     def test_partition_guard_refuses_before_work(self):
         # the DP on path 18 would hold 2^17 partitions, tens of MB
-        dense10 = graph_from_edge_list(10, list(itertools.combinations(range(10), 2))[:24])
+        dense10 = Graph(10, list(itertools.combinations(range(10), 2))[:24])
         for g in (fam("path", 18), fam("path", 25), dense10):  # Bell(10) = 115975
             tracemalloc.start()
             try:
@@ -247,7 +243,7 @@ class TestMatchings:
         assert matching_counts(fam("path", 4)) == [1, 3, 1]
 
     def test_empty_matching_always_counted(self):
-        for g in (empty_graph(3), fam("cycle", 6), fam("star", 5)):
+        for g in (Graph(3), fam("cycle", 6), fam("star", 5)):
             assert matching_counts(g)[0] == 1
 
     def test_path_binomial_identity(self):
@@ -274,7 +270,7 @@ class TestSpanningTrees:
         assert spanning_tree_count(fam("matching_union", 2)) == 0
 
     def test_single_vertex(self):
-        assert spanning_tree_count(empty_graph(1)) == 1
+        assert spanning_tree_count(Graph(1)) == 1
 
 
 class TestClosedForms:
@@ -402,6 +398,6 @@ class TestTreeSubdivisionIdentity:
 
 
 def test_coefficient_vector_edges_identity_on_arbitrary_input():
-    g = graph_from_edge_list(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     c = laplacian_coefficients(g)
     assert c[5] == 1 and c[4] == 8 and c[0] == 0 and c[1] == 0 and c[2] > 0

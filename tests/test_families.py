@@ -29,6 +29,8 @@ _EXTRA_MEMBERS = [
     ("complete_binary_tree", (5,), None),
     ("random_regular", (20, 3), 7),
     ("random_tree", (30,), 7),
+    # the largest degree the retry limit admits
+    ("random_regular", (20, 6), 1),
 ]
 
 
@@ -77,6 +79,38 @@ def test_numpy_integer_sizes_are_accepted():
     assert closed_form_coefficients("path", np.int32(4)) == closed_form_coefficients("path", 4)
     assert make_family(FamilySpec("random_tree", [np.intp(6)], 1)) == make_family(
         FamilySpec("random_tree", (6,), 1))
+
+
+# random.Random hashes a float or a text seed, which no --seed reproduces
+@pytest.mark.parametrize("call", [
+    lambda: make_family(FamilySpec("random_tree", (6,), 1.5)),
+    lambda: make_family(FamilySpec("random_tree", (6,), "a")),
+    lambda: make_family(FamilySpec("random_regular", (8, 3), "a")),
+], ids=["float-tree", "text-tree", "text-regular"])
+def test_non_integer_seeds_are_an_input_error(call):
+    with pytest.raises(InputError, match="seed must be an integer"):
+        call()
+
+
+def test_numpy_integer_seeds_are_stored_as_int():
+    spec = FamilySpec("random_tree", (6,), np.int64(3))
+    assert spec == FamilySpec("random_tree", (6,), 3) and type(spec.seed) is int
+    assert make_family(spec) == make_family(FamilySpec("random_tree", (6,), 3))
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--family", "random_regular", "--n", "100,7", "--seed", "1"],
+    ["coeffs", "--family", "random_regular", "--n", "30,9", "--seed", "1"],
+    # inside the edge and dense budgets; about 2.6 s per attempt
+    ["diagnose", "--family", "random_regular", "--n", "4096,1000", "--seed", "1"],
+])
+def test_random_regular_past_the_retry_limit_exits_3_before_a_shuffle(capsys, monkeypatch, argv):
+    def refuse(self, x):
+        raise AssertionError("a pairing was shuffled")
+
+    monkeypatch.setattr(families.random.Random, "shuffle", refuse)
+    assert cli.main(argv) == 3
+    assert "above the limit of 10000" in capsys.readouterr().err
 
 
 def test_vertex_budget_checked_before_building(no_graphs):

@@ -10,7 +10,7 @@ import pytest
 
 from lapstats import cli, limits
 from lapstats.corpus import _FAMILY_MEMBERS, corpus_graphs
-from lapstats.diagnostics import DiagnosticsRow, diagnose_family
+from lapstats.diagnostics import DiagnosticsRow, diagnose
 from lapstats.errors import InputError
 from lapstats.exact import laplacian_coefficients, laplacian_matrix
 from lapstats.families import (
@@ -21,7 +21,7 @@ from lapstats.families import (
     family_record,
     make_family,
 )
-from lapstats.graphs import empty_graph
+from lapstats.graphs import Graph
 from lapstats.limits import (
     LimitStats,
     clt_distance,
@@ -372,7 +372,7 @@ class TestVarianceBounds:
         assert variance_lower_bound(g) == pytest.approx(10 * 2 / (1 + 4) ** 2, rel=1e-15)
 
     def test_edgeless_is_zero(self):
-        assert variance_lower_bound(empty_graph(5)) == 0.0
+        assert variance_lower_bound(Graph(5)) == 0.0
 
     def test_bound_holds_on_spectra(self):
         for family, params in (("wheel", (9,)), ("hypercube", (4,)), ("path", (30,))):
@@ -493,9 +493,9 @@ def reference_poisson_distance(probs, mean: float, k_shift: int) -> float:
 
 
 def reference_row(family: str, params: tuple[int, ...]) -> DiagnosticsRow:
-    """``diagnose_family``'s row with every statistic recomputed by the
+    """``diagnose``'s row with every statistic recomputed by the
     reference loops, from the same spectrum and probability vector."""
-    row = diagnose_family(FamilySpec(family, params))
+    row = diagnose(FamilySpec(family, params))
     record = family_record(family)
     s = closed_form_spectrum(family, *params)
     mu, sigma2 = reference_mean_variance(s.values)
@@ -534,7 +534,7 @@ class TestReferenceLoops:
             for mean, shift in ((1.0, 1), (2.0, 1), (2.5, 4)):
                 assert (poisson_distance(given, mean, shift)
                         == reference_poisson_distance(as_list, mean, shift))
-        assert diagnose_family(FamilySpec(family, params)) == reference_row(family, params)
+        assert diagnose(FamilySpec(family, params)) == reference_row(family, params)
 
     @pytest.mark.parametrize("f", [math.erfc, math.exp], ids=["erfc", "exp"])
     def test_libm_keeps_the_bits_and_holds_only_its_output(self, f):

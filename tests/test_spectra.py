@@ -9,7 +9,7 @@ from lapstats.corpus import corpus_graphs
 from lapstats.errors import ConvergenceError, InputError
 from lapstats.exact import coefficients_from_eigenvalues, laplacian_coefficients, laplacian_matrix
 from lapstats.families import FamilySpec, closed_form_spectrum, make_family, random_regular
-from lapstats.graphs import cone, empty_graph
+from lapstats.graphs import Graph, cone
 from lapstats.spectra import (
     SNAP_TOL,
     Spectrum,
@@ -368,7 +368,7 @@ class TestBounds:
 
     def test_edgeless_rejected(self):
         with pytest.raises(InputError):
-            anderson_morley_bound(empty_graph(3))
+            anderson_morley_bound(Graph(3))
 
 
 def test_reconstruction_from_spectrum():
@@ -380,4 +380,4 @@ def test_reconstruction_from_spectrum():
 
 
 def test_trace_check_empty_graph():
-    assert trace_check(numeric_spectrum([[0] * 2 for _ in range(2)]), empty_graph(2)) == 0.0
+    assert trace_check(numeric_spectrum([[0] * 2 for _ in range(2)]), Graph(2)) == 0.0
