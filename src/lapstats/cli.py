@@ -11,11 +11,11 @@ command reads the parsed arguments once ``_check`` has parsed --n and
 --ladder. ``_input`` reads an edge list or names a family member as a
 ``FamilySpec``, not built, and each command hands either to one route
 (``family_coefficients``, ``family_member`` or ``diagnostics.diagnose``)
-without asking which it is. ``families`` takes a spec by the closed form
-wherever the family has one and otherwise builds it only once the spec's
-closed forms pass the guards of the route it feeds, so an over-budget family
-exits 3 before any graph is built; a sweep makes the spec of every ladder
-entry before its first row.
+without asking which it is. All three go through ``families.route``, which
+takes a spec by the closed form wherever the family has one, or else to an
+engine, and checks every guard on the way it chose before any work, so an
+over-budget member exits 3 before any graph is built; a sweep routes every
+ladder entry so before its first row.
 """
 
 from __future__ import annotations

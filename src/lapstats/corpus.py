@@ -32,8 +32,6 @@ from .families import (
     closed_form_coefficients,
     closed_form_spectrum,
     make_family,
-    random_regular,
-    random_tree,
 )
 from .graphs import Graph, component_count, is_bipartite, subdivision
 
@@ -70,19 +68,15 @@ def corpus_graphs() -> list[tuple[str, Graph]]:
     """The pinned corpus in a fixed, deterministic order."""
     out = [(_label(f, p), make_family(FamilySpec(f, p))) for f, p in _FAMILY_MEMBERS]
     out.extend(corpus_trees(max_n=9))
-    for n, d in REGULAR_SHAPES:
-        for seed in REGULAR_SEEDS:
-            out.append((f"regular-{n}-{d}-s{seed:02d}", random_regular(n, d, seed)))
+    out.extend((f"regular-{n}-{d}-s{seed:02d}", make_family(FamilySpec("random_regular", (n, d), seed)))
+               for n, d in REGULAR_SHAPES for seed in REGULAR_SEEDS)
     return out
 
 
 def corpus_trees(max_n: int = 12) -> list[tuple[str, Graph]]:
     """Seeded random trees for orders 4..max_n, 20 per order."""
-    out = []
-    for n in range(4, max_n + 1):
-        for seed in TREE_SEEDS:
-            out.append((f"rtree-{n}-s{seed:02d}", random_tree(n, seed)))
-    return out
+    return [(f"rtree-{n}-s{seed:02d}", make_family(FamilySpec("random_tree", (n,), seed)))
+            for n in range(4, max_n + 1) for seed in TREE_SEEDS]
 
 
 @dataclass(frozen=True)
@@ -346,12 +340,12 @@ def _check_clt_scale_invariance(corpus: _Corpus) -> str:
 
 
 def _check_generator_determinism(corpus: _Corpus) -> str:
-    for n in (4, 9, 17):
-        if random_tree(n, 42).edges != random_tree(n, 42).edges:
-            raise _Failure(f"rtree-{n}", "same seed, different edges")
-    for n, d in REGULAR_SHAPES:
-        if random_regular(n, d, 7).edges != random_regular(n, d, 7).edges:
-            raise _Failure(f"regular-{n}-{d}", "same seed, different edges")
+    specs = [(f"rtree-{n}", FamilySpec("random_tree", (n,), 42)) for n in (4, 9, 17)]
+    specs += [(f"regular-{n}-{d}", FamilySpec("random_regular", (n, d), 7))
+              for n, d in REGULAR_SHAPES]
+    for label, spec in specs:
+        if make_family(spec).edges != make_family(spec).edges:
+            raise _Failure(label, "same seed, different edges")
     return "trees and regular graphs"
 
 

@@ -9,7 +9,8 @@ the Poisson-binomial expansion of the spectrum
 (``limits.probabilities_from_spectrum``), and for a member the verdict, the
 Poisson reference and the per-vertex limits from its family record, and
 builds the frozen row in one call. Sweeps map a family over a size ladder,
-one row per entry in ascending size order; every entry's spec is checked
+one row per entry in ascending size order; every entry's spec is made and
+routed by ``families.route``, so checked against every guard on its way,
 before the first row is computed.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from . import limits
 from .errors import InputError
-from .families import FamilySpec, family_member, family_record
+from .families import FamilySpec, family_member, family_record, route
 from .graphs import Graph
 
 VERDICT_POISSON = "poisson-regime"
@@ -75,11 +76,14 @@ def diagnose(source: FamilySpec | Graph) -> DiagnosticsRow:
 def run_sweep(family: str, ladder, seed: int | None = None) -> list[DiagnosticsRow]:
     """One diagnostic row per ladder entry, ordered by ascending size
     parameters. An entry is an integer for every size parameter or a tuple
-    with one value per parameter. Every entry's spec is made, and so
-    checked, before the first row."""
+    with one value per parameter. Every entry's spec is made and routed,
+    which checks every guard on its way and does no work, before the first
+    row."""
     arity = family_record(family).arity
     sizes = sorted(size if isinstance(size, tuple) else (size,) * arity for size in ladder)
     if not sizes:
         raise InputError("sweep ladder must be nonempty")
     specs = [FamilySpec(family, size, seed) for size in sizes]
+    for spec in specs:
+        route(spec, "spectrum")
     return [diagnose(spec) for spec in specs]

@@ -31,13 +31,14 @@ matrix to the charpoly.
 
 The work, about P n^4 multiply-adds per matrix for P primes, is checked
 against MAX_CHARPOLY_WORK (``charpoly_guard``) for every graph before any
-matrix is built, and for a named family from its closed-form n and |E|
-before the graph is. Independent combinatorial routes exist so the
-pipeline can be cross-checked rather than trusted: spanning-forest sums by a
-dynamic programme over vertex partitions (``forest_sum_oracle``), matching
-counts by deletion/contraction on edge bitmasks (``matching_counts``), a
-fraction-free minor determinant, and the closed-form family formulas in
-``families``. None of them shares code with the charpoly.
+matrix is built; ``families.route`` checks it, and ``dense_guard``, for a
+named family from its closed-form n and |E| before the graph is.
+Independent combinatorial routes exist so the pipeline can be cross-checked
+rather than trusted: spanning-forest sums by a dynamic programme over vertex
+partitions (``forest_sum_oracle``), matching counts by deletion/contraction
+on edge bitmasks (``matching_counts``), a fraction-free minor determinant,
+and the closed-form family formulas in ``families``. None of them shares
+code with the charpoly.
 
 Coefficient vectors are plain lists c[0..n] of nonnegative integers with
 sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.

@@ -1,4 +1,5 @@
-"""The named graph families, one record each.
+"""The named graph families, one record each, and the one route from a
+member or a graph to its spectrum or coefficients.
 
 A record holds all that is known about a family: its size rule, the builder,
 the closed-form n, |E| and maximum degree, and where they exist the spectrum,
@@ -9,11 +10,12 @@ complete, complete bipartite, hypercube, matching union) declare them once as
 coefficients f = prod (x + lam)^m, solved from the top by P f' = Q f with
 P = prod (x + lam) and Q = sum m_lam prod_(mu != lam) (x + mu) over the
 positive eigenvalues, the zero eigenvalues being a shift. ``FamilySpec``
-checks a member against its record once, together with the vertex budget,
-and carries those n, |E| and maximum degree; ``family_member`` and
-``family_coefficients`` take a spec or a graph to its spectrum and its
-coefficients, by the closed form wherever the family has one, the formula
-under the output guard. ``closed_form_spectrum`` and
+checks a member against its record once, together with the size rule and
+the vertex budget, and carries those n, |E| and maximum degree. ``route``
+decides between the closed form and the engine, checks every guard on the
+way it chose from the spec's closed forms or the graph's n and |E|, and
+only then hands back the work as a call; ``family_member`` and
+``family_coefficients`` make that call. ``closed_form_spectrum`` and
 ``closed_form_coefficients`` name a member by its parts, refuse a family
 without the closed form and otherwise go through those two. Builders use
 fixed canonical labelings (path 0-1-...-(n-1), cycle in cyclic order, star
@@ -55,7 +57,7 @@ class Family:
     edges: Callable[..., int]
     max_degree: Callable[..., int] | None  # None where the seed decides it
     seeded: bool = False
-    rule: Callable[..., str | None] | None = None  # what the minimum cannot say
+    rule: Callable[..., None] | None = None  # raises for what the minimum cannot say
     spectrum: Callable[..., Spectrum] | None = None
     coefficients: Callable[..., list[int]] | None = None
     # (mean, shift) of the Poisson reference law, None for a member without
@@ -80,12 +82,7 @@ def _random_regular(n: int, d: int, seed: int) -> Graph:
     """Configuration-model pairing with full restart whenever the pairing
     produces a loop or a repeated edge; each restart reseeds from (seed,
     attempt counter) so the whole draw is a pure function of the arguments.
-    An attempt is simple with probability about exp(-(d^2 - 1) / 4) (Bender
-    and Canfield), below one in the retry limit from d = 7 on: refused at once.
     """
-    if (d * d - 1) / 4 > math.log(_REGULAR_RETRY_LIMIT):
-        raise GuardExceeded(f"a {d}-regular pairing is simple about once in "
-                            f"exp({(d * d - 1) / 4}) attempts, above the limit of {_REGULAR_RETRY_LIMIT}")
     for attempt in range(_REGULAR_RETRY_LIMIT):
         rng = random.Random(seed * 1_000_003 + attempt)
         stubs = [v for v in range(n) for _ in range(d)]
@@ -134,11 +131,17 @@ def _random_tree(n: int, seed: int) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def _regular_rule(n: int, d: int) -> str | None:
+def _regular_rule(n: int, d: int) -> None:
+    """0 <= d < n and an even degree sum; and d < 7, since a pairing is
+    simple with probability about exp(-(d^2 - 1) / 4) (Bender and Canfield),
+    below one in the retry limit from d = 7 on."""
     if d >= max(n, 1):
-        return f"degree must satisfy 0 <= d < n, got d={d}, n={n}"
+        raise InputError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
-        return f"no {d}-regular graph on {n} vertices: odd degree sum"
+        raise InputError(f"no {d}-regular graph on {n} vertices: odd degree sum")
+    if d * d - 1 > 4 * math.log(_REGULAR_RETRY_LIMIT):
+        raise GuardExceeded(f"a {d}-regular pairing is simple about once in exp(({d}^2 - 1)/4) "
+                            f"attempts, above the limit of {_REGULAR_RETRY_LIMIT}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +350,6 @@ class FamilySpec:
                 f"family {self.family!r} takes {record.arity} size parameter(s), "
                 f"each at least {record.minimum!r}, got {self.size!r}"
             )
-        problem = record.rule(*self.size) if record.rule else None
-        if problem:
-            raise InputError(problem)
         if (self.seed is not None) != record.seeded:
             raise InputError(
                 f"seed must be given exactly for random families; family "
@@ -359,6 +359,8 @@ class FamilySpec:
             object.__setattr__(self, "seed", None if self.seed is None else index(self.seed))
         except TypeError:
             raise InputError(f"seed must be an integer, got {self.seed!r}") from None
+        if record.rule:  # its InputErrors ahead of its GuardExceeded
+            record.rule(*self.size)
         # n is at least every size parameter, so the first test keeps the
         # exponential orders (hypercube, binary tree) from growing huge
         if max(self.size) > MAX_VERTICES or (n := record.order(*self.size)) > MAX_VERTICES:
@@ -383,22 +385,6 @@ def make_family(spec: FamilySpec) -> Graph:
     return r.build(*spec.size)
 
 
-def family_member(source: FamilySpec | Graph,
-                  signless: bool = False) -> tuple[FamilySpec | Graph, Spectrum]:
-    """The member and its (signless) Laplacian spectrum, for a named member
-    or any graph. A spec whose family has a closed-form spectrum comes back
-    as it is, with that spectrum, unless ``signless``, and is never built.
-    Otherwise the graph comes back with its numeric spectrum; a spec's graph
-    is built only after the dense guard passes on the spec's closed-form n."""
-    if isinstance(source, FamilySpec):
-        if (spectrum := FAMILIES[source.family].spectrum) is not None and not signless:
-            return source, spectrum(*source.size)
-        exact.dense_guard(source.n)
-        source = make_family(source)
-    matrix = exact.signless_laplacian_matrix(source) if signless else exact.laplacian_matrix(source)
-    return source, spectra.numeric_spectrum(matrix)
-
-
 def _output_digits(s: Spectrum) -> int:
     """(n + 1) (floor(sum log10(1 + lam)) + 1): the decimal digits the n + 1
     coefficients of prod(x + lam) can reach, each being at most
@@ -406,33 +392,55 @@ def _output_digits(s: Spectrum) -> int:
     return (len(s) + 1) * (math.floor(math.fsum(map(math.log1p, s.values)) / math.log(10)) + 1)
 
 
-def family_coefficients(source: FamilySpec | Graph, signless: bool = False) -> list[int]:
-    """The exact (signless) Laplacian coefficients by the rule of
-    ``family_member``: the family's formula, never built, or else the exact
-    charpoly, a spec's graph built only once the charpoly guard passes on the
-    spec's closed-form n and |E|; it refuses every n far below the dense guard.
+def route(source: FamilySpec | Graph, what: str, signless: bool = False) -> Callable[[], object]:
+    """The work that gives ``what`` ("spectrum" or "coefficients") of the
+    (signless) Laplacian of a named member or any graph, as a call, once
+    every guard on its way has passed; nothing is built or solved before.
 
-    Each formula takes O(n) big-integer steps, every one an exact division
-    checked by its remainder (ArithmeticError otherwise), where the general
-    charpoly, about P n^4 work, is refused by its guard: path 12000 takes
-    about 0.1 s and hypercube 12 about 0.2 s. Every c_k is at most
-    sum(c) = prod(1 + lam), so the closed-form spectrum bounds the vector's
-    decimal digits before the formula makes any big integer; GuardExceeded
-    when that bound exceeds MAX_OUTPUT_DIGITS.
-    """
-    if isinstance(source, FamilySpec):
+    A spec whose family has the closed form takes it, unless ``signless``,
+    and is never built: a spectrum as it is, a coefficient formula, O(n)
+    big-integer steps each an exact division checked by its remainder
+    (ArithmeticError otherwise), once the closed-form spectrum bounds the
+    vector's decimal digits within MAX_OUTPUT_DIGITS, as every c_k is at
+    most sum(c) = prod(1 + lam). Anything else takes an engine, checked on
+    the spec's closed-form or the graph's n and |E|: the numeric spectrum
+    under the dense guard, or the exact charpoly, about P n^4 work, under
+    its guard, which refuses every n far below the dense one. A spec's
+    graph is built in the call. The spectrum comes with its member: the
+    spec for a closed form, else the graph."""
+    if isinstance(source, FamilySpec) and not signless:
         record = FAMILIES[source.family]
-        if record.coefficients is not None and not signless:
+        if what == "spectrum" and record.spectrum is not None:
+            return lambda: (source, record.spectrum(*source.size))
+        if what == "coefficients" and record.coefficients is not None:
             digits = _output_digits(record.spectrum(*source.size))
             if digits > MAX_OUTPUT_DIGITS:
                 raise GuardExceeded(
                     f"closed-form output guard: {source.family} {source.size!r} has up to "
                     f"{digits} decimal digits of coefficients, above {MAX_OUTPUT_DIGITS}"
                 )
-            return record.coefficients(*source.size)
-        exact.charpoly_guard(source.n, source.edge_count)
-        source = make_family(source)
-    return exact.signless_coefficients(source) if signless else exact.laplacian_coefficients(source)
+            return lambda: record.coefficients(*source.size)
+
+    def graph() -> Graph:
+        return make_family(source) if isinstance(source, FamilySpec) else source
+
+    if what == "spectrum":
+        exact.dense_guard(source.n)
+        matrix = exact.signless_laplacian_matrix if signless else exact.laplacian_matrix
+        return lambda: (g := graph(), spectra.numeric_spectrum(matrix(g)))
+    exact.charpoly_guard(source.n, source.edge_count)
+    return lambda: (exact.signless_coefficients if signless else exact.laplacian_coefficients)(graph())
+
+
+def family_member(source: FamilySpec | Graph,
+                  signless: bool = False) -> tuple[FamilySpec | Graph, Spectrum]:
+    """The member and its (signless) Laplacian spectrum, by ``route``."""
+    return route(source, "spectrum", signless)()
+
+
+def family_coefficients(source: FamilySpec | Graph, signless: bool = False) -> list[int]:
+    """The exact (signless) Laplacian coefficients, by ``route``."""
+    return route(source, "coefficients", signless)()
 
 
 def closed_form_spectrum(family: str, *params: int) -> Spectrum:
@@ -458,13 +466,3 @@ def family_limit_constants(family: str) -> tuple[float, float]:
     if constants is None:
         raise InputError(f"no limit constants for family {family!r}")
     return constants
-
-
-def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Sample a simple d-regular graph on n vertices, deterministic per seed."""
-    return make_family(FamilySpec("random_regular", (n, d), seed))
-
-
-def random_tree(n: int, seed: int) -> Graph:
-    """Sample a uniformly random labeled tree via a random Pruefer sequence."""
-    return make_family(FamilySpec("random_tree", (n,), seed))

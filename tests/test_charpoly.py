@@ -21,7 +21,7 @@ from lapstats.exact import (
     signless_coefficients_many,
     signless_laplacian_matrix,
 )
-from lapstats.families import FamilySpec, make_family, random_regular, random_tree
+from lapstats.families import FamilySpec, make_family
 
 
 def faddeev_leverrier(matrix):
@@ -134,7 +134,7 @@ def test_laplacian_stacks_take_primes_from_the_am_gm_bound(monkeypatch, kernel):
     assert len(exact.charpoly_guard(128, 256)) == 7
     assert len(exact._moduli(128, 9 ** 128)) == 10
     seen = _count_primes(monkeypatch)
-    g = random_regular(64, 4, 11)
+    g = make_family(FamilySpec("random_regular", (64, 4), 11))
     got = laplacian_coefficients(g)
     assert [len(primes) for _, primes in seen] == [4] and len(exact._moduli(64, 9 ** 64)) == 5
     # the kernel on all five primes of the row-sum bound agrees
@@ -194,7 +194,7 @@ def test_random_integer_matrices_match_oracle(kernel):
 
 @pytest.mark.parametrize("n, d", [(64, 4), (96, 3), (128, 4)])
 def test_regular_graphs_match_sympy(n, d):
-    g = random_regular(n, d, 11)
+    g = make_family(FamilySpec("random_regular", (n, d), 11))
     m = laplacian_matrix(g)
     assert laplacian_coefficients(g) == [abs(c) for c in _sympy_charpoly(m.astype(int).tolist())]
 
@@ -210,7 +210,9 @@ def test_general_integer_matrix_matches_sympy(kernel):
 
 def test_spanning_trees_match_networkx():
     nx = pytest.importorskip("networkx")
-    for g in (random_regular(40, 3, 2), random_tree(30, 4), random_regular(24, 5, 1)):
+    for spec in (FamilySpec("random_regular", (40, 3), 2), FamilySpec("random_tree", (30,), 4),
+                 FamilySpec("random_regular", (24, 5), 1)):
+        g = make_family(spec)
         ng = nx.Graph()
         ng.add_nodes_from(range(g.n))
         ng.add_edges_from(g.edges)

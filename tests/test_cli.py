@@ -207,6 +207,21 @@ class TestDiagnoseAndSweep:
         assert code == 3 and out == "" and "budget" in err
         assert diagnosed == []
 
+    # each entry is refused further along its route than its spec: the dense
+    # guard on the tree's numeric spectrum, the retry limit of the pairing
+    @pytest.mark.parametrize("family, ladder, guard", [
+        ("random_tree", "4096,4097", "dense matrix guard"),
+        ("random_regular", "10:3,100:7", "above the limit of 10000")])
+    def test_sweep_routes_every_entry_before_the_first_row(self, capsys, monkeypatch,
+                                                           family, ladder, guard):
+        def refuse(spec):
+            raise AssertionError(f"a row was computed for {spec!r}")
+
+        monkeypatch.setattr(diagnostics, "diagnose", refuse)
+        code, out, err = run_cli(capsys, "sweep", "--family", family, "--ladder", ladder,
+                                 "--seed", "1")
+        assert code == 3 and out == "" and guard in err
+
     def test_seeded_family_is_reproducible(self, capsys):
         args = ("diagnose", "--family", "random_tree", "--n", "30", "--seed", "5")
         _, first, _ = run_cli(capsys, *args)
@@ -273,6 +288,11 @@ class TestExitCodes:
     def test_missing_seed_for_random_family(self, capsys):
         code, _, _ = run_cli(capsys, "coeffs", "--family", "random_tree", "--n", "6")
         assert code == 2
+
+    def test_missing_seed_comes_before_the_retry_limit(self, capsys):
+        # d = 7 is past the retry limit (exit 3), but an input error comes first
+        code, _, err = run_cli(capsys, "diagnose", "--family", "random_regular", "--n", "100,7")
+        assert code == 2 and "seed must be given" in err
 
     def test_garbage_size(self, capsys):
         code, _, _ = run_cli(capsys, "coeffs", "--family", "path", "--n", "many")

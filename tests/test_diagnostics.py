@@ -22,8 +22,7 @@ from lapstats.families import (
     FamilySpec,
     closed_form_coefficients,
     closed_form_spectrum,
-    random_regular,
-    random_tree,
+    make_family,
 )
 from lapstats.graphs import Graph
 from lapstats.limits import (
@@ -131,8 +130,9 @@ class TestExactRouteOracle:
 
     def test_arbitrary_graphs(self):
         graphs = [g for _, g in corpus_trees(max_n=9)]
-        graphs += [random_regular(n, d, s) for n, d in REGULAR_SHAPES for s in REGULAR_SEEDS]
-        graphs.append(random_tree(60, 11))
+        graphs += [make_family(FamilySpec("random_regular", (n, d), s))
+                   for n, d in REGULAR_SHAPES for s in REGULAR_SEEDS]
+        graphs.append(make_family(FamilySpec("random_tree", (60,), 11)))
         for g in graphs:
             stats = mean_variance(numeric_spectrum(laplacian_matrix(g)))
             self._assert_close(diagnose(g), laplacian_coefficients(g), stats)
@@ -155,11 +155,11 @@ class TestPythonFloatsOnly:
     spectrum."""
 
     def _rows(self):
-        g = random_regular(30, 4, seed=3)
+        g = make_family(FamilySpec("random_regular", (30, 4), 3))
         members = [("complete", (50,)), ("complete_bipartite", (25, 25)), ("path", (100,)),
                    ("wheel", (30,)), ("hypercube", (5,))]
         return [diagnose(FamilySpec(f, size)) for f, size in members] + [
-            diagnose(g), diagnose(random_tree(40, seed=2))]
+            diagnose(g), diagnose(make_family(FamilySpec("random_tree", (40,), 2)))]
 
     def test_row_float_fields(self):
         assert {"mu", "clt_distance", "poisson_distance", "mu_per_vertex_err"} <= set(_FLOAT_FIELDS)
@@ -175,7 +175,7 @@ class TestPythonFloatsOnly:
     def test_spectrum_values(self):
         spectra = [closed_form_spectrum(name, *[4] * record.arity)
                    for name, record in FAMILIES.items() if record.spectrum is not None]
-        g = random_regular(30, 4, seed=3)
+        g = make_family(FamilySpec("random_regular", (30, 4), 3))
         spectra += [numeric_spectrum(laplacian_matrix(g)), cone_spectrum(spectra[0], 4)]
         for s in spectra:
             assert s.values.dtype == np.float64 and not s.values.flags.writeable

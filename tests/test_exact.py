@@ -21,7 +21,7 @@ from lapstats.exact import (
     spanning_tree_count,
     wiener_index,
 )
-from lapstats.families import FamilySpec, closed_form_coefficients, make_family, random_tree
+from lapstats.families import FamilySpec, closed_form_coefficients, make_family
 from lapstats.graphs import Graph, subdivision
 from lapstats.spectra import numeric_spectra, numeric_spectrum
 
@@ -264,7 +264,7 @@ class TestSpanningTrees:
 
     def test_trees_have_one(self):
         for seed in range(5):
-            assert spanning_tree_count(random_tree(9, seed)) == 1
+            assert spanning_tree_count(make_family(FamilySpec("random_tree", (9,), seed))) == 1
 
     def test_disconnected_is_zero(self):
         assert spanning_tree_count(fam("matching_union", 2)) == 0
@@ -354,7 +354,7 @@ class TestWiener:
 
     def test_tree_coefficient_identity(self):
         for seed in range(8):
-            t = random_tree(8, seed)
+            t = make_family(FamilySpec("random_tree", (8,), seed))
             assert laplacian_coefficients(t)[2] == wiener_index(t)
 
 
@@ -389,7 +389,7 @@ class TestTreeSubdivisionIdentity:
     def test_random_trees(self):
         for n in (4, 6, 9):
             for seed in range(6):
-                t = random_tree(n, seed)
+                t = make_family(FamilySpec("random_tree", (n,), seed))
                 c = laplacian_coefficients(t)
                 m = matching_counts(subdivision(t))
                 for k in range(n + 1):

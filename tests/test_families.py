@@ -21,6 +21,7 @@ from lapstats.families import (
     family_coefficients,
     make_family,
 )
+from lapstats.graphs import Graph
 
 _EXTRA_MEMBERS = [
     ("path", (100,), None),
@@ -111,6 +112,20 @@ def test_random_regular_past_the_retry_limit_exits_3_before_a_shuffle(capsys, mo
     monkeypatch.setattr(families.random.Random, "shuffle", refuse)
     assert cli.main(argv) == 3
     assert "above the limit of 10000" in capsys.readouterr().err
+
+
+def test_retry_limit_checked_when_the_spec_is_made(no_graphs):
+    with pytest.raises(GuardExceeded, match="above the limit of 10000"):
+        FamilySpec("random_regular", (100, 7), 1)
+    FamilySpec("random_regular", (100, 6), 1)
+    # every input error on the spec comes before the guard
+    with pytest.raises(InputError, match="seed must be given"):
+        FamilySpec("random_regular", (100, 7))
+    with pytest.raises(InputError, match="odd degree sum"):
+        FamilySpec("random_regular", (101, 7), 1)
+    # no float is made of d^2, however large d is
+    with pytest.raises(GuardExceeded):
+        FamilySpec("random_regular", (10 ** 400, 10 ** 399), 1)
 
 
 def test_vertex_budget_checked_before_building(no_graphs):
@@ -240,6 +255,37 @@ def _count_specs(monkeypatch):
 
     monkeypatch.setattr(FamilySpec, "__post_init__", counted)
     return made
+
+
+@pytest.mark.parametrize("what", ["spectrum", "coefficients"])
+@pytest.mark.parametrize("family, size", [("path", (300,)), ("complete_bipartite", (40, 60)),
+                                          ("hypercube", (10,))])
+def test_closed_form_route_builds_no_graph(no_graphs, what, family, size):
+    work = families.route(FamilySpec(family, size), what)
+    if what == "spectrum":
+        assert work()[1].values.tolist() == closed_form_spectrum(family, *size).values.tolist()
+    else:
+        assert work() == closed_form_coefficients(family, *size)
+
+
+@pytest.mark.parametrize("source, what, signless", [
+    (FamilySpec("random_tree", (4097,), 1), "spectrum", False),
+    (FamilySpec("path", (5000,)), "spectrum", True),
+    (FamilySpec("random_tree", (300,), 1), "coefficients", False),
+    (FamilySpec("path", (200,)), "coefficients", True),
+    (FamilySpec("path", (20000,)), "coefficients", False),
+])
+def test_route_refuses_before_returning_the_work(no_graphs, source, what, signless):
+    with pytest.raises(GuardExceeded):
+        families.route(source, what, signless)
+
+
+def test_engine_route_builds_only_in_the_call(monkeypatch):
+    built = []
+    monkeypatch.setattr(families, "make_family", lambda spec: built.append(spec) or Graph(3))
+    work = families.route(FamilySpec("random_tree", (3,), 1), "coefficients")
+    assert built == []
+    assert work() == [0, 0, 0, 1] and built == [FamilySpec("random_tree", (3,), 1)]
 
 
 def test_family_coefficients_checks_no_further_spec(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 import lapstats
 from lapstats.errors import InputError
 from lapstats.exact import laplacian_coefficients
-from lapstats.families import FamilySpec, make_family, random_regular, random_tree
+from lapstats.families import FamilySpec, make_family
 from lapstats.graphs import (
     cartesian_product,
     component_count,
@@ -173,31 +173,31 @@ class TestCombinators:
 class TestRandomGenerators:
     def test_regular_on_four_vertices_is_k4(self):
         for seed in (0, 1, 99):
-            assert random_regular(4, 3, seed).edges == fam("complete", 4).edges
+            assert fam("random_regular", 4, 3, seed=seed).edges == fam("complete", 4).edges
 
     def test_regular_degrees(self):
-        g = random_regular(6, 2, seed=1)
+        g = fam("random_regular", 6, 2, seed=1)
         assert g.degrees() == [2] * 6
 
     def test_regular_odd_sum_rejected(self):
         with pytest.raises(InputError, match="odd"):
-            random_regular(5, 3, seed=0)
+            fam("random_regular", 5, 3, seed=0)
 
     def test_regular_reproducible(self):
-        assert random_regular(10, 3, 7).edges == random_regular(10, 3, 7).edges
-        assert random_regular(10, 3, 7).edges != random_regular(10, 3, 8).edges
+        assert fam("random_regular", 10, 3, seed=7).edges == fam("random_regular", 10, 3, seed=7).edges
+        assert fam("random_regular", 10, 3, seed=7).edges != fam("random_regular", 10, 3, seed=8).edges
 
     def test_tree_small_orders(self):
-        assert random_tree(2, 5).edges == fam("complete", 2).edges
-        assert random_tree(3, 5).edge_count == 2
+        assert fam("random_tree", 2, seed=5).edges == fam("complete", 2).edges
+        assert fam("random_tree", 3, seed=5).edge_count == 2
 
     def test_tree_structure(self):
-        g = random_tree(8, seed=42)
+        g = fam("random_tree", 8, seed=42)
         assert g.edge_count == g.n - 1 and component_count(g) == 1
 
     def test_tree_reproducible(self):
-        assert random_tree(12, 3).edges == random_tree(12, 3).edges
-        assert random_tree(12, 3).edges != random_tree(12, 4).edges
+        assert fam("random_tree", 12, seed=3).edges == fam("random_tree", 12, seed=3).edges
+        assert fam("random_tree", 12, seed=3).edges != fam("random_tree", 12, seed=4).edges
 
 
 @given(st.integers(2, 16), st.data())

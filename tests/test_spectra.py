@@ -8,7 +8,7 @@ from lapstats import cli
 from lapstats.corpus import corpus_graphs
 from lapstats.errors import ConvergenceError, InputError
 from lapstats.exact import coefficients_from_eigenvalues, laplacian_coefficients, laplacian_matrix
-from lapstats.families import FamilySpec, closed_form_spectrum, make_family, random_regular
+from lapstats.families import FamilySpec, closed_form_spectrum, make_family
 from lapstats.graphs import Graph, cone
 from lapstats.spectra import (
     SNAP_TOL,
@@ -69,7 +69,7 @@ class TestNumericSolver:
         assert list(vals) == sorted(vals, reverse=True)
 
     def test_trace_residual_random_regular_50(self):
-        g = random_regular(50, 3, seed=11)
+        g = make_family(FamilySpec("random_regular", (50, 3), 11))
         assert trace_check(lap_spectrum(g), g) <= 1e-8
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch):
