@@ -101,8 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check(args: argparse.Namespace) -> None:
-    """Parse --n and --ladder in place; require exactly one input, a closed
-    form only of a --family that has one and never signless, and --jobs >= 1.
+    """Parse --n and --ladder in place; require exactly one input, --n and
+    --seed only with a --family, a closed form only of a --family that has
+    one and never signless, and --jobs >= 1.
     The work runs serially whatever --jobs is; the flag is accepted so
     existing invocations work."""
     if getattr(args, "jobs", 1) < 1:
@@ -114,6 +115,8 @@ def _check(args: argparse.Namespace) -> None:
             args.n = _ints("--n", args.n)
         if (args.family is None) == (args.edge_list is None):
             raise InputError("give exactly one input: --family or --edge-list")
+        if args.edge_list is not None and (args.n is not None or args.seed is not None):
+            raise InputError("--edge-list takes neither --n nor --seed")
         if getattr(args, "closed_form", False):
             if args.signless:
                 raise InputError("--closed-form has no signless variant")

@@ -8,10 +8,13 @@ coefficients are computed once per run, by one stacked exact charpoly per
 vertex count over the corpus and the extra trees, and shared by every check
 that needs them, as are the mean and variance of its spectrum and its
 normalized probabilities; the bipartite signless check stacks its graphs the
-same way. The corpus Laplacians, the cone Laplacians and the closed-form
-spectrum cases each go to ``spectra.numeric_spectra`` as one list, which
-stacks them by order itself: one certified ``eigvalsh`` call per order, each
-spectrum bit for bit what a call per matrix gives.
+same way, with ``signless=True``. The charpoly builds its matrices from the
+graphs; each corpus Laplacian is built once more, for the numeric spectrum,
+the spanning tree count and the cone check. The corpus Laplacians, the cone
+Laplacians and the closed-form spectrum cases each go to
+``spectra.numeric_spectra`` as one list, which stacks them by order itself:
+one certified ``eigvalsh`` call per order, each spectrum bit for bit what a
+call per matrix gives.
 ``_CHECKS`` is the one table of (name, check) pairs, in the printed order. A
 check returns its PASS detail or raises ``_Failure(label, what)`` at its first
 counterexample; ``run_verification`` alone builds the result lines and runs
@@ -115,12 +118,11 @@ def _corpus() -> _Corpus:
     trees = corpus_trees(max_n=12)
     extra = [(label, t) for label, t in trees if label not in labels]
     everything = graphs + extra
-    # each Laplacian is built once, for the charpoly, the numeric spectrum,
-    # the spanning tree count and the cone check
-    matrices = [exact.laplacian_matrix(g) for _, g in everything]
     coeffs = dict(zip((label for label, _ in everything),
-                      exact.laplacian_coefficients_many([g for _, g in everything], matrices)))
-    numeric = spectra.numeric_spectra(matrices[:len(graphs)])
+                      exact.laplacian_coefficients_many(g for _, g in everything)))
+    # for the numeric spectrum, the spanning tree count and the cone check
+    matrices = [exact.laplacian_matrix(g) for _, g in graphs]
+    numeric = spectra.numeric_spectra(matrices)
     bundles = [
         _Bundle(label=label, graph=g, coeffs=coeffs[label], spectrum=s, laplacian=lap,
                 stats=limits.mean_variance(s), probs=limits.normalized_probabilities(coeffs[label]))
@@ -209,7 +211,7 @@ def _check_sandwich(corpus: _Corpus) -> str:
 
 def _check_bipartite_signless(corpus: _Corpus) -> str:
     bipartite = [b for b in corpus.bundles if is_bipartite(b.graph)]
-    signless = exact.signless_coefficients_many(b.graph for b in bipartite)
+    signless = exact.laplacian_coefficients_many((b.graph for b in bipartite), signless=True)
     for b, q in zip(bipartite, signless):
         if q != b.coeffs:
             raise _Failure(b.label, "signless != laplacian on bipartite graph")

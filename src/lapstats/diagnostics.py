@@ -10,8 +10,8 @@ the Poisson-binomial expansion of the spectrum
 Poisson reference and the per-vertex limits from its family record, and
 builds the frozen row in one call. Sweeps map a family over a size ladder,
 one row per entry in ascending size order; every entry's spec is made and
-routed by ``families.route``, so checked against every guard on its way,
-before the first row is computed.
+routed by ``families.route``, so checked against every guard on its way, and
+then the ladder against its own bounds, before the first row is computed.
 """
 
 from __future__ import annotations
@@ -19,13 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import limits
-from .errors import InputError
+from .errors import GuardExceeded, InputError
 from .families import FamilySpec, family_member, family_record, route
 from .graphs import Graph
 
 VERDICT_POISSON = "poisson-regime"
 VERDICT_NORMAL = "normal-regime"
 VERDICT_UNKNOWN = "indeterminate"
+# a sweep ladder's entries and their vertices in all: a doubling ladder up to
+# the 2^20-vertex budget fits, while the slowest rows, dense spectra at 4096
+# vertices, take about 9 s each
+MAX_SWEEP_ENTRIES = 32
+MAX_SWEEP_VERTICES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,9 @@ def run_sweep(family: str, ladder, seed: int | None = None) -> list[DiagnosticsR
     """One diagnostic row per ladder entry, ordered by ascending size
     parameters. An entry is an integer for every size parameter or a tuple
     with one value per parameter. Every entry's spec is made and routed,
-    which checks every guard on its way and does no work, before the first
-    row."""
+    which checks every guard on its way and does no work, and then the
+    ladder is held to MAX_SWEEP_ENTRIES entries and MAX_SWEEP_VERTICES
+    vertices in all, before the first row."""
     arity = family_record(family).arity
     sizes = sorted(size if isinstance(size, tuple) else (size,) * arity for size in ladder)
     if not sizes:
@@ -86,4 +92,10 @@ def run_sweep(family: str, ladder, seed: int | None = None) -> list[DiagnosticsR
     specs = [FamilySpec(family, size, seed) for size in sizes]
     for spec in specs:
         route(spec, "spectrum")
+    vertices = sum(spec.n for spec in specs)
+    if len(specs) > MAX_SWEEP_ENTRIES or vertices > MAX_SWEEP_VERTICES:
+        raise GuardExceeded(
+            f"sweep ladder guard: {len(specs)} entries of {vertices} vertices in all; "
+            f"at most {MAX_SWEEP_ENTRIES} entries and {MAX_SWEEP_VERTICES} vertices"
+        )
     return [diagnose(spec) for spec in specs]

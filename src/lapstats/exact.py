@@ -5,11 +5,12 @@ polynomial. The recurrence M_1 = I, c[n-k] = -tr(A M_k) / k,
 M_{k+1} = A M_k + c[n-k] I runs modulo a few primes at once on a stack of
 same-order matrices, one batched float64 BLAS product per step for the whole
 stack, and the Chinese remainder theorem maps each matrix's residues back to
-integers. ``laplacian_coefficients_many`` stacks its graphs by vertex count,
-so ``verify`` runs one charpoly per order; a single graph is a stack of one,
-and many large graphs of one order go in stacks of at most MAX_STACK_ENTRIES
-running entries. Graphs are the only way in; no public function takes a
-matrix to the charpoly.
+integers. ``laplacian_coefficients_many(graphs, signless)`` is the one
+entry, for either Laplacian: it builds each graph's matrix itself and stacks
+them by vertex count, so ``verify`` runs one charpoly per order and sign; a
+single graph is a stack of one, and many large graphs of one order go in
+stacks of at most MAX_STACK_ENTRIES running entries. Graphs are the only way
+in; no public function takes a matrix to the charpoly.
 
 * Bound. A (signless) Laplacian is positive semi-definite with trace 2|E|,
   and every coefficient of det(xI - A) is an elementary symmetric function
@@ -47,7 +48,6 @@ sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from itertools import chain
 
 import numpy as np
@@ -92,25 +92,17 @@ def dense_guard(n: int) -> None:
         )
 
 
-def _dense_laplacian(g: Graph, sign: float) -> np.ndarray:
-    """Degree matrix plus ``sign`` times the adjacency matrix, n x n float64."""
+def laplacian_matrix(g: Graph, signless: bool = False) -> np.ndarray:
+    """Degree matrix minus the adjacency matrix, or plus it if ``signless``;
+    n x n float64, under the dense guard."""
     dense_guard(g.n)
     ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.edge_count)
     m = np.zeros((g.n, g.n))
+    sign = 1.0 if signless else -1.0
     m[ends[0::2], ends[1::2]] = sign
     m[ends[1::2], ends[0::2]] = sign
     np.fill_diagonal(m, np.bincount(ends, minlength=g.n))
     return m
-
-
-def laplacian_matrix(g: Graph) -> np.ndarray:
-    """Degree matrix minus adjacency matrix."""
-    return _dense_laplacian(g, -1.0)
-
-
-def signless_laplacian_matrix(g: Graph) -> np.ndarray:
-    """Degree matrix plus adjacency matrix."""
-    return _dense_laplacian(g, 1.0)
 
 
 def _moduli(n: int, bound: int) -> tuple[int, ...]:
@@ -214,12 +206,14 @@ def _faddeev_leverrier(a: np.ndarray, primes: tuple[int, ...]) -> list[list[int]
     return polys
 
 
-def _unsigned_coefficients_many(graphs, build: Callable[[Graph], np.ndarray], label: str,
-                                matrices=None) -> list[list[int]]:
-    """One stacked charpoly per vertex count, in first-seen order; every
-    order meets the charpoly guard at its largest |E| before any matrix is
-    built, unless the caller passes them all built as ``matrices``."""
+def laplacian_coefficients_many(graphs, signless: bool = False) -> list[list[int]]:
+    """c(G, k) for k = 0..n for each graph, exact, in input order: the
+    unsigned coefficients of the Laplacian, or of the signless Laplacian if
+    ``signless``. One stacked charpoly per vertex count, in first-seen order;
+    every order meets the charpoly guard at its largest |E| before any matrix
+    is built."""
     graphs = list(graphs)
+    label = "signless Laplacian" if signless else "Laplacian"
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         by_order.setdefault(g.n, []).append(i)
@@ -233,8 +227,7 @@ def _unsigned_coefficients_many(graphs, build: Callable[[Graph], np.ndarray], la
         size = max(1, MAX_STACK_ENTRIES // (len(primes) * n * n or 1))
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
-            stack = np.stack([build(graphs[i]) if matrices is None else matrices[i]
-                              for i in chunk])
+            stack = np.stack([laplacian_matrix(graphs[i], signless) for i in chunk])
             for i, poly in zip(chunk, _faddeev_leverrier(stack, primes)):
                 for k in range(n + 1):
                     value = poly[k] if (n - k) % 2 == 0 else -poly[k]
@@ -244,27 +237,9 @@ def _unsigned_coefficients_many(graphs, build: Callable[[Graph], np.ndarray], la
     return out
 
 
-def laplacian_coefficients_many(graphs, matrices=None) -> list[list[int]]:
-    """c(G, k) for k = 0..n for each graph, exact, in input order.
-    ``matrices``, if given, are the graphs' Laplacians in the same order,
-    which are then stacked as they are rather than built again."""
-    return _unsigned_coefficients_many(graphs, laplacian_matrix, "Laplacian", matrices)
-
-
-def signless_coefficients_many(graphs) -> list[list[int]]:
-    """Unsigned signless Laplacian coefficients for each graph, exact, in
-    input order."""
-    return _unsigned_coefficients_many(graphs, signless_laplacian_matrix, "signless Laplacian")
-
-
-def laplacian_coefficients(g: Graph) -> list[int]:
-    """c(G, k) for k = 0..n, exact."""
-    return laplacian_coefficients_many([g])[0]
-
-
-def signless_coefficients(g: Graph) -> list[int]:
-    """Unsigned coefficients of the signless Laplacian, exact."""
-    return signless_coefficients_many([g])[0]
+def laplacian_coefficients(g: Graph, signless: bool = False) -> list[int]:
+    """c(G, k) for k = 0..n, exact; of the signless Laplacian if ``signless``."""
+    return laplacian_coefficients_many([g], signless)[0]
 
 
 def _bell(n: int) -> int:

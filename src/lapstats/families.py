@@ -402,12 +402,13 @@ def route(source: FamilySpec | Graph, what: str, signless: bool = False) -> Call
     big-integer steps each an exact division checked by its remainder
     (ArithmeticError otherwise), once the closed-form spectrum bounds the
     vector's decimal digits within MAX_OUTPUT_DIGITS, as every c_k is at
-    most sum(c) = prod(1 + lam). Anything else takes an engine, checked on
-    the spec's closed-form or the graph's n and |E|: the numeric spectrum
-    under the dense guard, or the exact charpoly, about P n^4 work, under
-    its guard, which refuses every n far below the dense one. A spec's
-    graph is built in the call. The spectrum comes with its member: the
-    spec for a closed form, else the graph."""
+    most sum(c) = prod(1 + lam). Anything else takes an engine, given
+    ``signless`` as it is and checked on the spec's closed-form or the
+    graph's n and |E|: the numeric spectrum under the dense guard, or the
+    exact charpoly, about P n^4 work, under its guard, which refuses every
+    n far below the dense one. A spec's graph is built in the call. The
+    spectrum comes with its member: the spec for a closed form, else the
+    graph."""
     if isinstance(source, FamilySpec) and not signless:
         record = FAMILIES[source.family]
         if what == "spectrum" and record.spectrum is not None:
@@ -426,10 +427,9 @@ def route(source: FamilySpec | Graph, what: str, signless: bool = False) -> Call
 
     if what == "spectrum":
         exact.dense_guard(source.n)
-        matrix = exact.signless_laplacian_matrix if signless else exact.laplacian_matrix
-        return lambda: (g := graph(), spectra.numeric_spectrum(matrix(g)))
+        return lambda: (g := graph(), spectra.numeric_spectrum(exact.laplacian_matrix(g, signless)))
     exact.charpoly_guard(source.n, source.edge_count)
-    return lambda: (exact.signless_coefficients if signless else exact.laplacian_coefficients)(graph())
+    return lambda: exact.laplacian_coefficients(graph(), signless)
 
 
 def family_member(source: FamilySpec | Graph,

@@ -24,7 +24,6 @@ from lapstats.exact import (
     laplacian_coefficients,
     laplacian_matrix,
     matching_counts,
-    signless_coefficients,
     spanning_tree_count,
     wiener_index,
 )
@@ -271,12 +270,12 @@ def test_criterion_10_bipartite_cross_check(corpus_bundles):
         if not is_bipartite(g):
             continue
         checked += 1
-        if signless_coefficients(g) != coeffs:
+        if laplacian_coefficients(g, signless=True) != coeffs:
             failures.append(label)
     for label, g, _, _ in corpus_bundles[::25]:
         s = subdivision(g)
         checked += 1
-        if signless_coefficients(s) != laplacian_coefficients(s):
+        if laplacian_coefficients(s, signless=True) != laplacian_coefficients(s):
             failures.append(f"subdivision-of-{label}")
     ok = not failures
     _report(10, "bipartite-cross-check", ok, f"{checked} bipartite graphs")

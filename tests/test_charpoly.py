@@ -18,8 +18,6 @@ from lapstats.exact import (
     laplacian_coefficients,
     laplacian_coefficients_many,
     laplacian_matrix,
-    signless_coefficients_many,
-    signless_laplacian_matrix,
 )
 from lapstats.families import FamilySpec, make_family
 
@@ -70,10 +68,10 @@ def _is_prime(n):
 
 def test_corpus_matches_python_integer_oracle(kernel):
     for label, g in corpus_graphs():
-        for build in (laplacian_matrix, signless_laplacian_matrix):
-            m = build(g)
+        for signless in (False, True):
+            m = laplacian_matrix(g, signless)
             assert kernel(m) == faddeev_leverrier(m.astype(int).tolist()), (
-                label, build.__name__)
+                label, signless)
 
 
 def _unsigned_oracle(matrix):
@@ -83,21 +81,21 @@ def _unsigned_oracle(matrix):
     return [c if (n - k) % 2 == 0 else -c for k, c in enumerate(poly)]
 
 
-@pytest.mark.parametrize("many, build", [
-    (laplacian_coefficients_many, laplacian_matrix),
-    (signless_coefficients_many, signless_laplacian_matrix),
+@pytest.mark.parametrize("signless", [
+    pytest.param(False, id="laplacian_coefficients_many-laplacian_matrix"),
+    pytest.param(True, id="signless_coefficients_many-signless_laplacian_matrix"),
 ])
-def test_stacked_route_matches_oracle_in_input_order(many, build):
+def test_stacked_route_matches_oracle_in_input_order(signless):
     # the corpus and the trees of orders 10..12, shuffled so that each order's
     # members are scattered through one call with mixed n
     graphs = [g for _, g in corpus_graphs()]
     graphs += [t for _, t in corpus_trees(max_n=12) if t.n >= 10]
     random.Random(3).shuffle(graphs)
     assert {g.n for g in graphs} == set(range(1, 13))
-    got = many(graphs)
+    got = laplacian_coefficients_many(graphs, signless)
     assert len(got) == len(graphs)
     for g, coeffs in zip(graphs, got):
-        assert coeffs == _unsigned_oracle(build(g))
+        assert coeffs == _unsigned_oracle(laplacian_matrix(g, signless))
 
 
 def _fam(family, *size):

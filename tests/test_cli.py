@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +223,23 @@ class TestDiagnoseAndSweep:
                                  "--seed", "1")
         assert code == 3 and out == "" and guard in err
 
+    # every entry passes its own route; the ladder is past its entry bound
+    # (33 entries) or its vertex bound (2^21 + 2 vertices in three)
+    @pytest.mark.parametrize("family, ladder, seed", [
+        ("path", ",".join(map(str, range(2, 35))), None),
+        ("random_tree", ",".join(["10"] * 33), "1"),
+        ("path", "2,1048576,1048576", None),
+        ("hypercube", "1,20,20", None)])
+    def test_sweep_ladder_bounds_exit_3_before_the_first_row(self, capsys, monkeypatch,
+                                                            family, ladder, seed):
+        def refuse(spec):
+            raise AssertionError(f"a row was computed for {spec!r}")
+
+        monkeypatch.setattr(diagnostics, "diagnose", refuse)
+        argv = ["sweep", "--family", family, "--ladder", ladder]
+        code, out, err = run_cli(capsys, *argv, *(["--seed", seed] if seed else []))
+        assert code == 3 and out == "" and "sweep ladder guard" in err
+
     def test_seeded_family_is_reproducible(self, capsys):
         args = ("diagnose", "--family", "random_tree", "--n", "30", "--seed", "5")
         _, first, _ = run_cli(capsys, *args)
@@ -267,6 +285,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "coeffs", "--family", "path", "--n", "3",
                                "--edge-list", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["coeffs", "spectrum", "stats", "diagnose"])
+    @pytest.mark.parametrize("extra", [["--n", "99"], ["--seed", "4"], ["--n", "99", "--seed", "4"]])
+    def test_edge_list_refuses_n_and_seed(self, capsys, tmp_path, command, extra):
+        path = tmp_path / "p3.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        code, out, err = run_cli(capsys, command, "--edge-list", str(path), *extra)
+        assert code == 2 and out == "" and "--edge-list takes neither" in err
 
     def test_closed_form_needs_supported_family(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
@@ -327,7 +353,7 @@ class TestExitCodes:
         assert code == 3 and out == "" and err.startswith("error:")
 
     def test_guard_maps_to_exit_3(self, capsys, monkeypatch):
-        def explode(g):
+        def explode(g, signless=False):
             raise GuardExceeded("boom")
 
         # a family without a formula, so that coeffs runs the exact charpoly
@@ -412,3 +438,22 @@ def test_stdout_equals_reference_loops(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == expected()
+
+
+def _readme_cli_lines():
+    """The ``lapstats ...`` lines of the first code block under README's
+    ``## CLI`` heading, each without its trailing comment."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()
+             if line.startswith("lapstats ")]
+    assert lines, "no lapstats lines under README's ## CLI"
+    return lines
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_examples_run(capsys, tmp_path, argv):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *(str(graph) if a == "graph.txt" else a for a in argv[1:]))
+    assert code == 0 and out, err

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 
 from lapstats import cli, exact, limits
@@ -14,17 +16,17 @@ from lapstats.graphs import cone
 
 def test_verify_computes_each_charpoly_once(monkeypatch):
     kinds, calls = [], []
-    real_many, real_stack = exact._unsigned_coefficients_many, exact._faddeev_leverrier
+    real_many, real_stack = exact.laplacian_coefficients_many, exact._faddeev_leverrier
 
-    def many(graphs, build, label, matrices=None):
-        kinds.append(label)
-        return real_many(graphs, build, label, matrices)
+    def many(graphs, signless=False):
+        kinds.append("signless Laplacian" if signless else "Laplacian")
+        return real_many(graphs, signless)
 
     def stacked(a, primes):
         calls.append((kinds[-1], a.shape[1], a.shape[0]))
         return real_stack(a, primes)
 
-    monkeypatch.setattr(exact, "_unsigned_coefficients_many", many)
+    monkeypatch.setattr(exact, "laplacian_coefficients_many", many)
     monkeypatch.setattr(exact, "_faddeev_leverrier", stacked)
     results = run_verification()
     assert all(r.ok for r in results)
@@ -63,14 +65,20 @@ def test_corpus_builds_each_laplacian_once(monkeypatch):
     built = []
     real = exact.laplacian_matrix
 
-    def counted(g):
+    def counted(g, signless=False):
         built.append(g)
-        return real(g)
+        return real(g, signless)
 
     monkeypatch.setattr(exact, "laplacian_matrix", counted)
     corpus = _corpus()
-    # every corpus graph and every extra tree, once each
-    assert len(built) == len(corpus.coeffs) == 314
+    # the charpoly builds every corpus graph and every extra tree once, and
+    # the bundles each corpus graph once more
+    times = Counter(map(id, built))
+    extra = [t for _, t in corpus.trees if t.n > 9]
+    assert len(corpus.coeffs) == len(corpus.bundles) + len(extra) == 314
+    assert all(times.pop(id(b.graph)) == 2 for b in corpus.bundles)
+    assert all(times.pop(id(t)) == 1 for t in extra)
+    assert not times
     built.clear()
     assert _check_cone_transform(corpus) == "257 graphs"
     # only the three cycles that are not corpus graphs

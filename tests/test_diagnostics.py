@@ -5,9 +5,11 @@ import io
 import numpy as np
 import pytest
 
-from lapstats import serialize
+from lapstats import diagnostics, serialize
 from lapstats.corpus import REGULAR_SEEDS, REGULAR_SHAPES, corpus_trees
 from lapstats.diagnostics import (
+    MAX_SWEEP_ENTRIES,
+    MAX_SWEEP_VERTICES,
     VERDICT_NORMAL,
     VERDICT_POISSON,
     VERDICT_UNKNOWN,
@@ -97,6 +99,14 @@ class TestSweep:
         rows = run_sweep("complete", (10, 100, 400))
         assert all(r.sigma2 < 1.0 for r in rows)
         assert all(r.verdict == VERDICT_POISSON for r in rows)
+
+    @pytest.mark.parametrize("ladder", [
+        tuple(range(2, 2 + MAX_SWEEP_ENTRIES)),
+        (MAX_SWEEP_VERTICES // 2,) * 2,
+        tuple(1 << k for k in range(1, 21))])  # a doubling ladder to the 2^20 budget
+    def test_ladders_at_the_bounds_admitted(self, monkeypatch, ladder):
+        monkeypatch.setattr(diagnostics, "diagnose", lambda spec: spec)
+        assert [spec.size[0] for spec in run_sweep("path", ladder)] == sorted(ladder)
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(InputError):

@@ -16,8 +16,6 @@ from lapstats.exact import (
     laplacian_coefficients,
     laplacian_matrix,
     matching_counts,
-    signless_coefficients,
-    signless_laplacian_matrix,
     spanning_tree_count,
     wiener_index,
 )
@@ -46,7 +44,7 @@ class TestMatrices:
         assert laplacian_matrix(fam("complete", 2)).tolist() == [[1, -1], [-1, 1]]
 
     def test_k2_signless(self):
-        assert signless_laplacian_matrix(fam("complete", 2)).tolist() == [[1, 1], [1, 1]]
+        assert laplacian_matrix(fam("complete", 2), signless=True).tolist() == [[1, 1], [1, 1]]
 
     def test_empty_graph_is_zero_matrix(self):
         assert laplacian_matrix(Graph(3)).tolist() == [[0] * 3 for _ in range(3)]
@@ -55,10 +53,13 @@ class TestMatrices:
         for row in laplacian_matrix(fam("wheel", 6)).tolist():
             assert sum(row) == 0
 
-    @pytest.mark.parametrize("build, sign", [(laplacian_matrix, -1), (signless_laplacian_matrix, 1)])
-    def test_corpus_matches_list_builder(self, build, sign):
+    @pytest.mark.parametrize("signless, sign", [
+        pytest.param(False, -1, id="laplacian_matrix--1"),
+        pytest.param(True, 1, id="signless_laplacian_matrix-1"),
+    ])
+    def test_corpus_matches_list_builder(self, signless, sign):
         for label, g in corpus_graphs():
-            m = build(g)
+            m = laplacian_matrix(g, signless)
             want = reference_matrix(g, sign)
             assert m.dtype == float and m.tolist() == want, label
             got, expected = numeric_spectrum(m).values, numeric_spectrum(want).values
@@ -362,18 +363,18 @@ class TestSignless:
     def test_bipartite_agreement(self):
         for g in (fam("path", 6), fam("cycle", 8), fam("complete_bipartite", 3, 4),
                   fam("hypercube", 3), subdivision(fam("complete", 4))):
-            assert signless_coefficients(g) == laplacian_coefficients(g)
+            assert laplacian_coefficients(g, signless=True) == laplacian_coefficients(g)
 
     def test_odd_cycle_differs(self):
         g = fam("cycle", 5)
         # Q(C5) is nonsingular, so the constant term is nonzero
-        q = signless_coefficients(g)
+        q = laplacian_coefficients(g, signless=True)
         assert q != laplacian_coefficients(g)
         assert q[0] > 0
 
     def test_k3_constant_term(self):
         # det(Q(K3)) = det(A + 2I at degrees 2...) = product of eigenvalues {4,1,1}
-        assert signless_coefficients(fam("complete", 3))[0] == 4
+        assert laplacian_coefficients(fam("complete", 3), signless=True)[0] == 4
 
 
 class TestTreeSubdivisionIdentity:
