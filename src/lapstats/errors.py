@@ -11,8 +11,7 @@ class InputError(ValueError):
 
 
 class GuardExceeded(RuntimeError):
-    """A size or cost budget was exceeded (checked before the work starts),
-    or a retry budget ran out. Never silently truncated."""
+    """A size or cost budget was exceeded, checked before the work starts; never truncated."""
 
 
 class ConvergenceError(RuntimeError):

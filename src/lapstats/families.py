@@ -20,12 +20,15 @@ only then hands back the work as a call; ``family_member`` and
 without the closed form and otherwise go through those two. Builders use
 fixed canonical labelings (path 0-1-...-(n-1), cycle in cyclic order, star
 centered at 0, hypercube vertices as bit patterns) so that outputs are
-reproducible byte for byte.
+reproducible byte for byte. Random regular graphs take Steger and Wormald's
+pairing, whose law is asymptotically uniform only for small d: d = o(n^(1/28))
+(Steger and Wormald 1999) or d << n^(1/3 - eps) (Kim and Vu 2003).
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -39,7 +42,6 @@ from .errors import GuardExceeded, InputError
 from .graphs import MAX_EDGES, MAX_VERTICES, Graph, cone, join
 from .spectra import Spectrum
 
-_REGULAR_RETRY_LIMIT = 10_000
 # decimal digits a closed-form coefficient vector may have in all: complete
 # 2000 (13.2M) and path 12000 (60.2M) are admitted, path 20000 (167M) is not;
 # its str() alone takes about 14 s on CPython 3.11
@@ -79,32 +81,28 @@ def _cycle(n: int) -> Graph:
 
 
 def _random_regular(n: int, d: int, seed: int) -> Graph:
-    """Configuration-model pairing with full restart whenever the pairing
-    produces a loop or a repeated edge; each restart reseeds from (seed,
-    attempt counter) so the whole draw is a pure function of the arguments.
-    """
-    for attempt in range(_REGULAR_RETRY_LIMIT):
-        rng = random.Random(seed * 1_000_003 + attempt)
-        stubs = [v for v in range(n) for _ in range(d)]
+    """Steger and Wormald's pairing in rounds under one random.Random(seed),
+    restarts included: a round shuffles the unpaired stubs, keeps each pair that
+    makes a new simple edge and returns the rest; the draw restarts only when no
+    two vertices left can be joined. For 2d > n - 1, as restarts grow steeply toward
+    d = n - 1, the complement is drawn and taken pair by pair, never as a set of all pairs."""
+    rng, k, edges = random.Random(seed), min(d, n - 1 - d), set()
+    stubs = list(range(n)) * k
+    while stubs:
         rng.shuffle(stubs)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
+        pool: dict[int, int] = {}  # stubs returned, per vertex
+        for u, v in zip(stubs[::2], stubs[1::2]):
             e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if ok:
-            return Graph(n, frozenset(edges))
-    raise GuardExceeded(
-        f"no simple {d}-regular pairing on {n} vertices found in "
-        f"{_REGULAR_RETRY_LIMIT} attempts"
-    )
+            if u != v and e not in edges:
+                edges.add(e)
+            else:
+                pool[e[0]] = pool.get(e[0], 0) + 1
+                pool[e[1]] = pool.get(e[1], 0) + 1
+        stubs = [v for v, count in pool.items() for _ in range(count)]
+        if stubs and all(e in edges for e in itertools.combinations(sorted(pool), 2)):
+            edges, stubs = set(), list(range(n)) * k
+    return Graph(n, edges if k == d else (
+        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges))
 
 
 def _random_tree(n: int, seed: int) -> Graph:
@@ -132,16 +130,12 @@ def _random_tree(n: int, seed: int) -> Graph:
 
 
 def _regular_rule(n: int, d: int) -> None:
-    """0 <= d < n and an even degree sum; and d < 7, since a pairing is
-    simple with probability about exp(-(d^2 - 1) / 4) (Bender and Canfield),
-    below one in the retry limit from d = 7 on."""
+    """0 <= d < n and an even degree sum: exactly the members that exist,
+    each drawn, so no degree is refused and the edge budget bounds the work."""
     if d >= max(n, 1):
         raise InputError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise InputError(f"no {d}-regular graph on {n} vertices: odd degree sum")
-    if d * d - 1 > 4 * math.log(_REGULAR_RETRY_LIMIT):
-        raise GuardExceeded(f"a {d}-regular pairing is simple about once in exp(({d}^2 - 1)/4) "
-                            f"attempts, above the limit of {_REGULAR_RETRY_LIMIT}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +353,7 @@ class FamilySpec:
             object.__setattr__(self, "seed", None if self.seed is None else index(self.seed))
         except TypeError:
             raise InputError(f"seed must be an integer, got {self.seed!r}") from None
-        if record.rule:  # its InputErrors ahead of its GuardExceeded
+        if record.rule:  # input errors, ahead of the vertex budget
             record.rule(*self.size)
         # n is at least every size parameter, so the first test keeps the
         # exponential orders (hypercube, binary tree) from growing huge

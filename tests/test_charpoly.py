@@ -282,7 +282,8 @@ def test_huge_edge_list_header_exits_3_before_building(capsys, no_graphs, tmp_pa
 def test_dense_routes_refuse_before_allocating(capsys, tmp_path, command):
     n = MAX_DENSE_VERTICES + 1
     path = tmp_path / "wide.txt"
-    path.write_text(f"{n} 0\n")
+    # one edge, as diagnose refuses an edgeless graph before any guard
+    path.write_text(f"{n} 1\n0 1\n")
     tracemalloc.start()
     try:
         code, err = _run(capsys, [command, "--edge-list", str(path)])

@@ -209,10 +209,10 @@ class TestDiagnoseAndSweep:
         assert diagnosed == []
 
     # each entry is refused further along its route than its spec: the dense
-    # guard on the tree's numeric spectrum, the retry limit of the pairing
+    # guard on its numeric spectrum
     @pytest.mark.parametrize("family, ladder, guard", [
         ("random_tree", "4096,4097", "dense matrix guard"),
-        ("random_regular", "10:3,100:7", "above the limit of 10000")])
+        ("random_regular", "10:3,5000:3", "dense matrix guard")])
     def test_sweep_routes_every_entry_before_the_first_row(self, capsys, monkeypatch,
                                                            family, ladder, guard):
         def refuse(spec):
@@ -239,6 +239,32 @@ class TestDiagnoseAndSweep:
         argv = ["sweep", "--family", family, "--ladder", ladder]
         code, out, err = run_cli(capsys, *argv, *(["--seed", seed] if seed else []))
         assert code == 3 and out == "" and "sweep ladder guard" in err
+
+    # an edgeless member has no variance: refused as an input error from its
+    # |E| alone, before a spectrum or a row
+    @pytest.mark.parametrize("argv, patched", [
+        (["diagnose", "--family", "random_regular", "--n", "4000,0", "--seed", "1"], "eigvalsh"),
+        (["sweep", "--family", "random_regular", "--ladder", "100:3,4000:0", "--seed", "1"],
+         "diagnose"),
+        (["diagnose", "--edge-list", "EDGELESS"], "eigvalsh"),
+    ], ids=["member", "sweep", "edge-list"])
+    def test_edgeless_input_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                    argv, patched):
+        def refuse(*args):
+            raise AssertionError(f"{patched} was called")
+
+        monkeypatch.setattr(*((np.linalg, "eigvalsh") if patched == "eigvalsh"
+                              else (diagnostics, "diagnose")), refuse)
+        edgeless = tmp_path / "edgeless.txt"
+        edgeless.write_text("3 0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, *(str(edgeless) if a == "EDGELESS" else a for a in argv))
+        assert (code, out, err) == (2, "", "error: degenerate variance\n")
+
+    def test_edgeless_stats_keep_their_zero_variance(self, capsys, tmp_path):
+        edgeless = tmp_path / "edgeless.txt"
+        edgeless.write_text("3 0\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "stats", "--edge-list", str(edgeless))
+        assert code == 0 and json.loads(out)["sigma2"] == 0.0
 
     def test_seeded_family_is_reproducible(self, capsys):
         args = ("diagnose", "--family", "random_tree", "--n", "30", "--seed", "5")
@@ -315,9 +341,11 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "coeffs", "--family", "random_tree", "--n", "6")
         assert code == 2
 
-    def test_missing_seed_comes_before_the_retry_limit(self, capsys):
-        # d = 7 is past the retry limit (exit 3), but an input error comes first
-        code, _, err = run_cli(capsys, "diagnose", "--family", "random_regular", "--n", "100,7")
+    def test_missing_seed_comes_before_the_edge_budget(self, capsys):
+        # 4096 * 1026 / 2 edges are past the edge budget (exit 3), but an
+        # input error comes first
+        code, _, err = run_cli(capsys, "diagnose", "--family", "random_regular",
+                               "--n", "4096,1026")
         assert code == 2 and "seed must be given" in err
 
     def test_garbage_size(self, capsys):
@@ -391,7 +419,7 @@ PINNED_STDOUT = [
     (["coeffs", "--edge-list", "PATH5", "--signless"],
      "d4257dadae5e112067ac34ab493cdd21f033c604ad3ccfa0167de96ddf0b259c"),
     (["verify"],
-     "ab4d27d3d7f89cbf672a3a16542fbdea8cfca6c4c017a235ae27614a53086e61"),
+     "bc2a777fe31da54c23b2dbc9add95fa882938b0706e503c4b9c732ee434ac279"),
     (["spectrum", "--family", "hypercube", "--n", "10", "--closed-form"],
      "6d8466a18574c5d9db588574ce7086527f31a9d03bfcd9d4c776bd5fa51af9c4"),
     (["spectrum", "--family", "hypercube", "--n", "10", "--closed-form", "--format", "csv"],

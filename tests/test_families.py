@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import time
 
@@ -30,7 +31,8 @@ _EXTRA_MEMBERS = [
     ("complete_binary_tree", (5,), None),
     ("random_regular", (20, 3), 7),
     ("random_tree", (30,), 7),
-    # the largest degree the retry limit admits
+    # a degree at which a whole pairing is rarely simple; a round keeps its
+    # simple pairs and re-pairs only the rest
     ("random_regular", (20, 6), 1),
 ]
 
@@ -99,31 +101,80 @@ def test_numpy_integer_seeds_are_stored_as_int():
     assert make_family(spec) == make_family(FamilySpec("random_tree", (6,), 3))
 
 
-@pytest.mark.parametrize("argv", [
-    ["diagnose", "--family", "random_regular", "--n", "100,7", "--seed", "1"],
-    ["coeffs", "--family", "random_regular", "--n", "30,9", "--seed", "1"],
-    # inside the edge and dense budgets; about 2.6 s per attempt
-    ["diagnose", "--family", "random_regular", "--n", "4096,1000", "--seed", "1"],
-])
-def test_random_regular_past_the_retry_limit_exits_3_before_a_shuffle(capsys, monkeypatch, argv):
+def _assert_regular(g: Graph, n: int, d: int) -> None:
+    # Graph refuses loops and drops repeats, so d at every vertex and nd/2
+    # edges make a simple d-regular graph
+    assert g.n == n and g.edge_count == n * d // 2, (n, d)
+    assert g.degrees() == [d] * n, (n, d)
+
+
+def test_random_regular_draws_every_admitted_member():
+    grid = [(n, d) for n in range(1, 17) for d in range(n) if n * d % 2 == 0]
+    # d > (n - 1)/2 takes the complement of an (n - 1 - d)-regular draw
+    assert any(2 * d > n - 1 for n, d in grid)
+    for n, d in grid:
+        for seed in range(10):
+            spec = FamilySpec("random_regular", (n, d), seed)
+            g = make_family(spec)
+            _assert_regular(g, n, d)
+            assert make_family(spec).edges == g.edges, (n, d, seed)
+
+
+@pytest.mark.parametrize("n, d, seed, digest", [
+    (10, 3, 0, "feced73e16463a4cf0b15a4727c669f058d9ae32149fb72248ddc52e0b86adf8"),
+    (12, 7, 1, "5fdf84be694358d65660cff9803d55fb7338ad52172dded0d29ca429d949e5ce"),
+    (20, 6, 1, "c7ba48accdab25db22843c5f492352f8c3e2a453cd1931d969c1026eab3ac946"),
+], ids=["10-3-0", "12-7-1", "20-6-1"])
+def test_random_regular_draws_are_pinned(n, d, seed, digest):
+    edges = sorted(make_family(FamilySpec("random_regular", (n, d), seed)).edges)
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
+
+
+# degrees at which a whole pairing is simple about once in exp((d^2 - 1)/4)
+# tries; each draw stays well under a second
+@pytest.mark.parametrize("n, d", [(100, 7), (30, 9), (2000, 6), (4096, 6)])
+def test_random_regular_draws_large_degrees_quickly(n, d):
+    for seed in (1, 2, 3):
+        start = time.perf_counter()
+        g = make_family(FamilySpec("random_regular", (n, d), seed))
+        assert time.perf_counter() - start < 1.0
+        _assert_regular(g, n, d)
+
+
+# no degree is refused; the row's edges and maximum degree, and the
+# coefficient of x^(n-1), which is 2|E|, are the graph's
+@pytest.mark.parametrize("command, n, d", [("diagnose", 100, 7), ("coeffs", 30, 9)])
+def test_random_regular_admits_every_degree(capsys, command, n, d):
+    argv = [command, "--family", "random_regular", "--n", f"{n},{d}", "--seed", "1"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    if command == "diagnose":
+        assert (out[0]["n"], out[0]["edges"], out[0]["max_degree"]) == (n, n * d // 2, d)
+    else:
+        assert len(out) == n + 1 and out[-2:] == [str(n * d), "1"]
+
+
+def test_random_regular_past_the_edge_budget_exits_3_before_a_shuffle(capsys, monkeypatch):
     def refuse(self, x):
         raise AssertionError("a pairing was shuffled")
 
     monkeypatch.setattr(families.random.Random, "shuffle", refuse)
+    # 4096 * 1026 / 2 edges, above MAX_EDGES and within the dense guard
+    argv = ["diagnose", "--family", "random_regular", "--n", "4096,1026", "--seed", "1"]
     assert cli.main(argv) == 3
-    assert "above the limit of 10000" in capsys.readouterr().err
+    assert "above the budget" in capsys.readouterr().err
 
 
-def test_retry_limit_checked_when_the_spec_is_made(no_graphs):
-    with pytest.raises(GuardExceeded, match="above the limit of 10000"):
-        FamilySpec("random_regular", (100, 7), 1)
-    FamilySpec("random_regular", (100, 6), 1)
-    # every input error on the spec comes before the guard
+def test_regular_rule_checked_when_the_spec_is_made(no_graphs):
+    FamilySpec("random_regular", (100, 7), 1)
+    # every input error on the spec comes before the vertex budget
     with pytest.raises(InputError, match="seed must be given"):
         FamilySpec("random_regular", (100, 7))
     with pytest.raises(InputError, match="odd degree sum"):
         FamilySpec("random_regular", (101, 7), 1)
-    # no float is made of d^2, however large d is
+    with pytest.raises(InputError, match="0 <= d < n"):
+        FamilySpec("random_regular", (10, 10), 1)
+    # the vertex budget, with no float made of the sizes however large
     with pytest.raises(GuardExceeded):
         FamilySpec("random_regular", (10 ** 400, 10 ** 399), 1)
 
