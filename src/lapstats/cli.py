@@ -2,8 +2,8 @@
 
 Subcommands: coeffs | spectrum | stats | diagnose | sweep | verify.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 resource guard or solver failure. All configuration is explicit flags; no
-environment variables are consulted.
+3 resource guard, solver failure or a failed exactness check (ArithmeticError).
+All configuration is explicit flags; no environment variables are consulted.
 
 ``build_parser`` declares coeffs, spectrum, stats and diagnose, the commands
 of one input, from one table, so each of their flags is declared once. Each
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GuardExceeded, ConvergenceError) as exc:
+    except (GuardExceeded, ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: bad input is 2, resource guards and
-solver failures are 3. Anything else escaping is a bug.
+The CLI exits 2 for bad input and 3 for a resource guard, a solver failure
+or a failed exactness check (ArithmeticError). Anything else escaping is a bug.
 """
 
 

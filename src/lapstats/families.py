@@ -3,30 +3,31 @@ member or a graph to its spectrum or coefficients.
 
 A record holds all that is known about a family: its size rule, the builder,
 the closed-form n, |E| and maximum degree, and where they exist the spectrum,
-the coefficient formula, the Poisson reference law of a Poisson-regime family
-and the per-vertex limit constants. The families with integer spectra (star,
-complete, complete bipartite, hypercube, matching union) declare them once as
-(eigenvalue, multiplicity) pairs, which give both the spectrum and the
-coefficients f = prod (x + lam)^m, solved from the top by P f' = Q f with
-P = prod (x + lam) and Q = sum m_lam prod_(mu != lam) (x + mu) over the
-positive eigenvalues, the zero eigenvalues being a shift. ``FamilySpec``
-checks a member against its record once, together with the size rule and
-the vertex budget, and carries those n, |E| and maximum degree. ``route``
-decides between the closed form and the engine, checks every guard on the
-way it chose from the spec's closed forms or the graph's n and |E|, and
-only then hands back the work as a call; ``family_member`` and
-``family_coefficients`` make that call. ``closed_form_spectrum`` and
-``closed_form_coefficients`` name a member by its parts, refuse a family
-without the closed form and otherwise go through those two. Builders use
-fixed canonical labelings (path 0-1-...-(n-1), cycle in cyclic order, star
-centered at 0, hypercube vertices as bit patterns) so that outputs are
-reproducible byte for byte. Random regular graphs take Steger and Wormald's
-pairing, whose law is asymptotically uniform only for small d: d = o(n^(1/28))
-(Steger and Wormald 1999) or d << n^(1/3 - eps) (Kim and Vu 2003).
+the coefficients, the Poisson reference law of a Poisson-regime family and
+the per-vertex limit constants. Every closed-form coefficient vector is data
+for one solver, ``_solve``, of a linear ODE with integer polynomial
+coefficients that det(xI + L) satisfies: the path, cycle and wheel declare
+theirs by Chebyshev polynomials, and the families with integer spectra
+declare (eigenvalue, multiplicity) pairs, which give the spectrum and the
+ODE P f' = Q f. ``FamilySpec`` checks a member against its record once,
+together with the size rule and the vertex budget, and carries those n, |E|
+and maximum degree. ``route`` decides between the closed form and the
+engine, checks every guard on the way it chose from the spec's closed forms
+or the graph's n and |E|, and only then hands back the work as a call;
+``family_member`` and ``family_coefficients`` make that call.
+``closed_form_spectrum`` and ``closed_form_coefficients`` name a member by
+its parts, refuse a family without the closed form and otherwise go through
+those two. Builders use fixed canonical labelings (path 0-1-...-(n-1), cycle
+in cyclic order, star centered at 0, hypercube vertices as bit patterns) so
+that outputs are reproducible byte for byte. Random regular graphs take
+Steger and Wormald's pairing, whose law is asymptotically uniform only for
+small d: d = o(n^(1/28)) (Steger and Wormald 1999) or d << n^(1/3 - eps)
+(Kim and Vu 2003).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -149,49 +150,55 @@ def _sine_spectrum(n: int, m: int) -> Spectrum:
     return Spectrum(4.0 * np.float_power(np.sin(np.arange(n) * math.pi / m), 2))
 
 
-def _exact_quotient(numerator: int, denominator: int) -> int:
-    q, r = divmod(numerator, denominator)
-    if r:
-        raise ArithmeticError(f"closed-form recurrence: {denominator} does not divide the step")
-    return q
-
-
-def _ratio_coefficients(n: int, first: int, denominator: Callable[[int], int]) -> list[int]:
-    """c_0 = 0, c_1 = first, c_{k+1} = c_k (n + k)(n - k) / denominator(k):
-    the path and the cycle, whose c_k are binomial in k."""
-    out = [0, first]
-    for k in range(1, n):
-        out.append(_exact_quotient(out[k] * (n + k) * (n - k), denominator(k)))
+def _times(p: list[int], q: list[int]) -> list[int]:
+    """p q, ascending."""
+    out = [0] * (len(p) + len(q) - 1)
+    for (i, a), (j, b) in itertools.product(enumerate(p), enumerate(q)):
+        out[i + j] += a * b
     return out
 
 
-def _times_linear(poly: list[int], lam: int) -> list[int]:
-    """poly (x + lam), ascending."""
-    return [lam * poly[0]] + [lam * hi + lo for hi, lo in zip(poly[1:], poly)] + [poly[-1]]
+def _value(w: list[int], k: int) -> int:
+    """w(k), w ascending, by Horner's rule."""
+    v = 0
+    for c in reversed(w):
+        v = v * k + c
+    return v
 
 
-def _multiplicity_coefficients(pairs: list[tuple[int, int]]) -> list[int]:
-    """f = x^(m_0) prod (x + lam)^(m_lam) ascending, over (lam, m) pairs of
-    nonnegative integers, from the top. Over the r distinct lam > 0 listed, with
-    N = sum m_lam, P = prod (x + lam) and Q = sum m_lam prod_(mu != lam) (x + mu),
-    g = f / x^(m_0) solves P g' = Q g, whose x^(s + r - 1) coefficient is
-    (N - s) g_s = sum_(i < r) P_i (s + r - i) g_(s+r-i) - sum_(i < r-1) Q_i g_(s+r-1-i)."""
-    multiplicity: dict[int, int] = {}
-    for lam, m in pairs:
-        multiplicity[lam] = multiplicity.get(lam, 0) + m
-    zeros = multiplicity.pop(0, 0)
-    # a factor (x + lam)^m takes P to P (x + lam) and Q to Q (x + lam) + m P;
-    # m = 0 keeps P g' = Q g true, one term longer
-    p, q = [1], [0]
-    for lam, m in multiplicity.items():
-        p, q = _times_linear(p, lam), [a + m * b for a, b in zip(_times_linear(q, lam), p + [0])]
-    r, top = len(p) - 1, sum(multiplicity.values())
-    g = [0] * top + [1] + [0] * r
-    for s in range(top - 1, -1, -1):
-        step = (sum(p[i] * (s + r - i) * g[s + r - i] for i in range(r))
-                - sum(q[i] * g[s + r - 1 - i] for i in range(r - 1)))
-        g[s] = _exact_quotient(step, top - s)
-    return [0] * zeros + g[:top + 1]
+def _solve(equation: list[list[int]], degree: int, minus: int = 0, zeros: int = 0,
+           times: int = 0, over: int = 0) -> list[int]:
+    """x^zeros (g - minus) (x + times) / (x + over), ascending, for the monic g
+    of the given degree with sum_i A_i(x) g^(i)(x) = 0, equation = [A_0, A_1,
+    ...] each ascending: g is D-finite (Stanley 1980). A term a x^j g^(i) puts
+    a k (k-1) ... (k-i+1) g_k on x^(k+s), s = j - i. With w_s(k) their sum at
+    shift s and d the largest shift, the x^(k+d) coefficient gives g_k from the
+    top: per shift one product by a small weight w_s, then one exact division
+    by w_d(k). Every division is checked by its remainder (ArithmeticError)."""
+    weights: dict[int, list[int]] = {}  # shift -> w_s, ascending in k
+    for i, a in enumerate(equation):
+        falling = functools.reduce(_times, ([-t, 1] for t in range(i)), [1])
+        for (j, a_j), (e, b) in itertools.product(enumerate(a), enumerate(falling)):
+            weights.setdefault(j - i, [0] * len(equation))[e] += a_j * b
+    d = max(s for s, w in weights.items() if any(w))
+    lead = weights.pop(d)
+    terms = [(d - s, w) for s, w in weights.items() if any(w)]
+    g = [0] * degree + [1] + [0] * (d - min(weights, default=d))
+    for k in range(degree - 1, -1, -1):
+        step = 0
+        for t, w in terms:
+            step -= _value(w, k + t) * g[k + t]
+        g[k], r = divmod(step, _value(lead, k))
+        if r:
+            raise ArithmeticError(f"closed-form recurrence: {_value(lead, k)} does not divide the step")
+    g = g[:degree + 1]
+    g[0] -= minus
+    if times != over:  # synthetic division from the top
+        q = list(itertools.accumulate(g[:0:-1], lambda hi, c: c - over * hi))[::-1]
+        if g[0] != over * q[0]:
+            raise ArithmeticError(f"closed-form recurrence: x + {over} does not divide the solution")
+        g = _times(q, [times, 1])
+    return [0] * zeros + g
 
 
 def _integer_spectrum(pairs: Callable[..., list[tuple[int, int]]]) -> dict[str, Callable]:
@@ -201,8 +208,19 @@ def _integer_spectrum(pairs: Callable[..., list[tuple[int, int]]]) -> dict[str, 
         values, multiplicities = zip(*pairs(*size))
         return Spectrum(np.repeat(np.array(values, dtype=float), multiplicities), exact=True)
 
-    return {"spectrum": spectrum,
-            "coefficients": lambda *size: _multiplicity_coefficients(pairs(*size))}
+    def coefficients(*size: int) -> list[int]:
+        multiplicity: dict[int, int] = {}
+        for lam, m in pairs(*size):
+            multiplicity[lam] = multiplicity.get(lam, 0) + m
+        zeros = multiplicity.pop(0, 0)
+        # g = prod (x + lam)^m solves P g' = Q g; a factor (x + lam)^m takes P to
+        # P (x + lam) and Q to Q (x + lam) + m P, and m = 0 keeps it true
+        p, q = [1], [0]
+        for lam, m in multiplicity.items():
+            p, q = _times(p, [lam, 1]), [a + m * b for a, b in zip(_times(q, [lam, 1]), p + [0])]
+        return _solve([[-c for c in q], p], sum(multiplicity.values()), zeros=zeros)
+
+    return {"spectrum": spectrum, "coefficients": coefficients}
 
 
 FAMILIES: dict[str, Family] = {
@@ -213,7 +231,8 @@ FAMILIES: dict[str, Family] = {
         edges=lambda n: n - 1,
         max_degree=lambda n: min(n - 1, 2),
         spectrum=lambda n: _sine_spectrum(n, 2 * n),
-        coefficients=lambda n: _ratio_coefficients(n, n, lambda k: 2 * k * (2 * k + 1)),
+        # x U_(n-1)((x + 2) / 2)
+        coefficients=lambda n: _solve([[n * n - 1], [-6, -3], [0, -4, -1]], n - 1, zeros=1),
         limits=(1.0 / (2.0 * _SQRT5), 1.0 / (5.0 * _SQRT5)),
     ),
     "cycle": Family(
@@ -223,7 +242,8 @@ FAMILIES: dict[str, Family] = {
         edges=lambda n: n,
         max_degree=lambda n: 2,
         spectrum=lambda n: _sine_spectrum(n, n),
-        coefficients=lambda n: _ratio_coefficients(n, n * n, lambda k: (2 * k + 1) * (2 * k + 2)),
+        # 2 T_n((x + 2) / 2) - 2
+        coefficients=lambda n: _solve([[n * n], [-2, -1], [0, -4, -1]], n, minus=2),
         limits=(1.0 / _SQRT5, 2.0 / (5.0 * _SQRT5)),
     ),
     "star": Family(
@@ -279,6 +299,9 @@ FAMILIES: dict[str, Family] = {
         edges=lambda n: 2 * n,
         max_degree=lambda n: n,
         spectrum=lambda n: spectra.cone_spectrum(_sine_spectrum(n, n), n),
+        # x (x + n + 1) (G - 2) / (x + 1), G = 2 T_n((x + 3) / 2)
+        coefficients=lambda n: _solve([[n * n], [-3, -1], [-5, -6, -1]], n,
+                                      minus=2, zeros=1, times=n + 1, over=1),
     ),
     "complete_binary_tree": Family(
         minimum=(0,),
@@ -392,8 +415,8 @@ def route(source: FamilySpec | Graph, what: str, signless: bool = False) -> Call
     every guard on its way has passed; nothing is built or solved before.
 
     A spec whose family has the closed form takes it, unless ``signless``,
-    and is never built: a spectrum as it is, a coefficient formula, O(n)
-    big-integer steps each an exact division checked by its remainder
+    and is never built: a spectrum as it is, the coefficients by ``_solve``,
+    O(n) big-integer steps each an exact division checked by its remainder
     (ArithmeticError otherwise), once the closed-form spectrum bounds the
     vector's decimal digits within MAX_OUTPUT_DIGITS, as every c_k is at
     most sum(c) = prod(1 + lam). Anything else takes an engine, given

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lapstats import cli, diagnostics, exact, serialize
+from lapstats import cli, diagnostics, exact, families, serialize
 from lapstats.errors import GuardExceeded
 from lapstats.families import FamilySpec, make_family
 from test_limits import reference_row
@@ -49,9 +50,9 @@ class TestCoeffs:
         assert json.loads(out) == ["0", "2", "1"]
 
     def test_wheel_at_the_charpoly_guard(self, capsys):
-        # a rim of 150, the largest the guard admits; with no formula for the
-        # wheel, check c_(n-1) = 2 |E| and c_1 = n tau, where the tree count
-        # is tau(W_m) = L_2m - 2 for a rim of m, L the Lucas numbers
+        # a rim of 150, the largest the charpoly guard admits, which the
+        # formula now serves; check c_(n-1) = 2 |E| and c_1 = n tau, where the
+        # tree count is tau(W_m) = L_2m - 2 for a rim of m, L the Lucas numbers
         code, out, _ = run_cli(capsys, "coeffs", "--family", "wheel", "--n", "150")
         assert code == 0
         values = [int(v) for v in json.loads(out)]
@@ -329,7 +330,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--edge-list", "G", "--closed-form"],
         ["spectrum", "--family", "complete_binary_tree", "--n", "3", "--closed-form"],
-        ["coeffs", "--family", "wheel", "--n", "5", "--closed-form"],
+        ["coeffs", "--family", "random_tree", "--n", "5", "--seed", "1", "--closed-form"],
     ])
     def test_closed_form_refused_without_a_formula(self, capsys, tmp_path, argv):
         path = tmp_path / "g.txt"
@@ -390,6 +391,22 @@ class TestExitCodes:
                                "--seed", "1")
         assert code == 3 and "boom" in err
 
+    @pytest.mark.parametrize("broken", ["closed-form step", "charpoly sign"])
+    def test_exactness_failure_maps_to_exit_3(self, capsys, monkeypatch, broken):
+        if broken == "closed-form step":
+            # x + 3/2 solves (2x + 3) f' = 2 f, so the one step leaves a remainder
+            monkeypatch.setitem(families.FAMILIES, "path", dataclasses.replace(
+                families.FAMILIES["path"], coefficients=lambda n: families._solve([[-2], [3, 2]], 1)))
+            argv = ["coeffs", "--family", "path", "--n", "5"]
+        else:
+            # a charpoly of all-ones coefficients, half of them negative as c_k
+            monkeypatch.setattr(exact, "_faddeev_leverrier",
+                                lambda stack, primes: [[1] * (stack.shape[1] + 1)] * len(stack))
+            argv = ["coeffs", "--family", "random_tree", "--n", "6", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--family", "path", "--ladder", "10", "--jobs", "0"],
         ["verify", "--jobs", "0"],
@@ -419,7 +436,7 @@ PINNED_STDOUT = [
     (["coeffs", "--edge-list", "PATH5", "--signless"],
      "d4257dadae5e112067ac34ab493cdd21f033c604ad3ccfa0167de96ddf0b259c"),
     (["verify"],
-     "bc2a777fe31da54c23b2dbc9add95fa882938b0706e503c4b9c732ee434ac279"),
+     "b759441c49ccaaf10610d79ad63f71abaa7aa39d845a199e378712a3db550b53"),
     (["spectrum", "--family", "hypercube", "--n", "10", "--closed-form"],
      "6d8466a18574c5d9db588574ce7086527f31a9d03bfcd9d4c776bd5fa51af9c4"),
     (["spectrum", "--family", "hypercube", "--n", "10", "--closed-form", "--format", "csv"],

@@ -303,6 +303,9 @@ class TestClosedForms:
             ("complete_bipartite", (1, 1)),
             ("complete_bipartite", (2, 3)),
             ("complete_bipartite", (4, 4)),
+            ("wheel", (3,)),
+            ("wheel", (4,)),
+            ("wheel", (11,)),
         ],
     )
     def test_matches_exact_pipeline(self, family, params):
@@ -321,6 +324,7 @@ class TestClosedForms:
         ("complete_bipartite", (62, 62), (63, 63)),
         ("hypercube", (7,), (8,)),
         ("matching_union", (87,), (88,)),
+        ("wheel", (150,), (151,)),
     ])
     def test_formula_equals_charpoly_at_the_guard(self, family, size, larger):
         want = laplacian_coefficients(make_family(FamilySpec(family, size)))
@@ -330,8 +334,9 @@ class TestClosedForms:
             charpoly_guard(spec.n, spec.edge_count)
 
     def test_unknown_family(self):
-        with pytest.raises(InputError, match="^no closed-form coefficients for family 'wheel'$"):
-            closed_form_coefficients("wheel", 4)
+        with pytest.raises(InputError,
+                           match="^no closed-form coefficients for family 'random_tree'$"):
+            closed_form_coefficients("random_tree", 4)
 
     def test_eigenvalue_expansion(self):
         assert coefficients_from_eigenvalues([0, 3, 3]) == [0, 9, 6, 1]

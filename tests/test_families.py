@@ -211,10 +211,10 @@ def test_edge_budget_checked_before_building(no_graphs):
     ["diagnose", "--family", "random_tree", "--n", "200000", "--seed", "1"],
     ["stats", "--family", "complete_binary_tree", "--n", "12"],
     ["sweep", "--family", "random_regular", "--ladder", "5000:3", "--seed", "1"],
-    # without a formula (the wheel's, any signless one) coeffs and spectrum
-    # check their guards on the spec's closed forms: the exact charpoly from
-    # n and |E|, the dense matrix from n
-    ["coeffs", "--family", "wheel", "--n", "200"],
+    # without a formula (a random tree's, any signless one) coeffs and
+    # spectrum check their guards on the spec's closed forms: the exact
+    # charpoly from n and |E|, the dense matrix from n
+    ["coeffs", "--family", "random_tree", "--n", "200", "--seed", "1"],
     ["coeffs", "--family", "complete", "--n", "2000", "--signless"],
     # the seed decides the maximum degree, which the guards do not need
     ["coeffs", "--family", "random_tree", "--n", "1000000", "--seed", "1"],
@@ -222,10 +222,12 @@ def test_edge_budget_checked_before_building(no_graphs):
     # the closed-form output guard, from the spectrum alone
     ["coeffs", "--family", "hypercube", "--n", "13", "--closed-form"],
     ["coeffs", "--family", "path", "--n", "1000000"],
-    # one past the charpoly guard's largest wheel, and a random tree within
+    # one past the charpoly guard's largest tree, and a random tree within
     # the dense guard but past the charpoly's
-    ["coeffs", "--family", "wheel", "--n", "151"],
+    ["coeffs", "--family", "random_tree", "--n", "164", "--seed", "1"],
     ["coeffs", "--family", "random_tree", "--n", "300", "--seed", "1"],
+    # one past the output guard's largest wheel
+    ["coeffs", "--family", "wheel", "--n", "10828"],
 ])
 def test_cli_guard_exits_3_before_building(capsys, no_graphs, argv):
     assert cli.main(argv) == 3
@@ -249,11 +251,14 @@ def test_closed_form_commands_never_build(capsys, no_graphs, argv):
 _WITH_FORMULA = [(f, p) for f, p in _FAMILY_MEMBERS if FAMILIES[f].coefficients is not None]
 
 
-# hypercubes last, so that the earlier cases keep their parametrize ids
-@pytest.mark.parametrize("family, size", [c for c in _WITH_FORMULA if c[0] != "hypercube"] + [
+# hypercubes and then wheels last, so that the earlier cases keep their
+# parametrize ids
+@pytest.mark.parametrize("family, size", [
+    c for c in _WITH_FORMULA if c[0] not in ("hypercube", "wheel")] + [
     ("path", (500,)), ("cycle", (400,)), ("star", (400,)), ("complete", (300,)),
     ("complete_bipartite", (40, 60)), ("matching_union", (300,))] + [
-    c for c in _WITH_FORMULA if c[0] == "hypercube"] + [("hypercube", (9,))])
+    c for c in _WITH_FORMULA if c[0] == "hypercube"] + [("hypercube", (9,))] + [
+    c for c in _WITH_FORMULA if c[0] == "wheel"] + [("wheel", (400,))])
 def test_output_digits_bound_the_closed_form(family, size):
     coeffs = closed_form_coefficients(family, *size)
     bound = families._output_digits(closed_form_spectrum(family, *size))
@@ -271,6 +276,8 @@ def test_output_digits_bound_the_closed_form(family, size):
     ("path", (1 << 20,), False),
     ("hypercube", (12,), True),  # 18.4M
     ("hypercube", (13,), False),  # 75.8M
+    ("wheel", (10827,), True),  # 67,107,313
+    ("wheel", (10828,), False),  # 67,113,510
 ])
 def test_output_guard_threshold(family, size, admitted):
     digits = families._output_digits(closed_form_spectrum(family, *size))
@@ -398,7 +405,8 @@ _BINOMIAL_ORACLES = {
 
 
 def test_every_coefficient_family_has_an_oracle():
-    assert set(_BINOMIAL_ORACLES) | {"complete_bipartite", "hypercube"} == {
+    # the others: the expanded spectrum, and the charpoly with the wheel identities
+    assert set(_BINOMIAL_ORACLES) | {"complete_bipartite", "hypercube", "wheel"} == {
         f for f, r in FAMILIES.items() if r.coefficients is not None}
 
 
@@ -428,8 +436,9 @@ def test_hypercube_matches_charpoly_and_expanded_spectrum():
 
 
 def test_recurrence_refuses_an_inexact_step():
-    with pytest.raises(ArithmeticError):
-        families._exact_quotient(7, 2)
+    # (2x + 3) f' = 2 f has the monic solution x + 3/2, not an integer one
+    with pytest.raises(ArithmeticError, match="does not divide the step"):
+        families._solve([[-2], [3, 2]], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +494,17 @@ def test_large_closed_form_identities(family, size):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("n", [2000, 10827])
+def test_wheel_identities(n):
+    # rims past the charpoly guard, up to the output guard's largest: c_1 = (n + 1) tau
+    # with tau = L_2n - 2 (Myers 1971), c_n = 2 |E| = 4n and c_(n-1) = e_2 of the
+    # spectrum, ((tr L)^2 - tr L^2) / 2 with tr L^2 = n^2 + 9n + 4n from the degrees
+    c = closed_form_coefficients("wheel", n)
+    assert len(c) == n + 2 and c[0] == 0 and c[n + 1] == 1
+    assert c[1] == (n + 1) * (_fibonacci_lucas(2 * n)[1] - 2)
+    assert c[n] == 4 * n and c[n - 1] == (15 * n * n - 13 * n) // 2
+
+
 # ---------------------------------------------------------------------------
 # SHA-256 of `coeffs --family F --n N --closed-form --format csv` stdout as
 # the math.comb formulas printed it
@@ -501,6 +521,8 @@ _PINNED_CSV = {
     # the hypercube had no formula before the multiplicity form; the values
     # are checked in test_hypercube_matches_charpoly_and_expanded_spectrum
     ("hypercube", "8"): "c3eae11158843eaa52271fdd334ae0b244862fa13d4e163bd20534916e008d83",
+    # the exact charpoly's output, printed before the wheel had a formula
+    ("wheel", "150"): "d3e7b8ed099fd49839fca3a695889a49dd7fa7447deef25fedf6dd8d80ae5154",
 }
 
 
