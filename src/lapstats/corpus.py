@@ -43,13 +43,6 @@ REGULAR_SEEDS = tuple(range(10))
 REGULAR_SHAPES = ((8, 3), (10, 3), (10, 4))
 
 
-# corpus labels that differ from the family name
-_LABEL_PREFIX = {
-    "complete_bipartite": "bipartite",
-    "matching_union": "matching",
-    "complete_binary_tree": "btree",
-}
-
 _FAMILY_MEMBERS = (
     [("path", (n,)) for n in range(1, 13)]
     + [("cycle", (n,)) for n in range(3, 13)]
@@ -63,22 +56,26 @@ _FAMILY_MEMBERS = (
 )
 
 
-def _label(family: str, params: tuple[int, ...]) -> str:
-    return "-".join([_LABEL_PREFIX.get(family, family), *map(str, params)])
+def _label(family: str, params: tuple[int, ...], seed: int | None = None) -> str:
+    """The one name of a family member in ``verify``'s output: the family,
+    its sizes and, for a seeded family, s and the seed."""
+    seeded = [] if seed is None else [f"s{seed:02d}"]
+    return "-".join([family, *map(str, params), *seeded])
 
 
 def corpus_graphs() -> list[tuple[str, Graph]]:
     """The pinned corpus in a fixed, deterministic order."""
     out = [(_label(f, p), make_family(FamilySpec(f, p))) for f, p in _FAMILY_MEMBERS]
     out.extend(corpus_trees(max_n=9))
-    out.extend((f"regular-{n}-{d}-s{seed:02d}", make_family(FamilySpec("random_regular", (n, d), seed)))
+    out.extend((_label("random_regular", (n, d), seed),
+                make_family(FamilySpec("random_regular", (n, d), seed)))
                for n, d in REGULAR_SHAPES for seed in REGULAR_SEEDS)
     return out
 
 
 def corpus_trees(max_n: int = 12) -> list[tuple[str, Graph]]:
     """Seeded random trees for orders 4..max_n, 20 per order."""
-    return [(f"rtree-{n}-s{seed:02d}", make_family(FamilySpec("random_tree", (n,), seed)))
+    return [(_label("random_tree", (n,), seed), make_family(FamilySpec("random_tree", (n,), seed)))
             for n in range(4, max_n + 1) for seed in TREE_SEEDS]
 
 
@@ -171,7 +168,7 @@ def _check_path_matchings(corpus: _Corpus) -> str:
         got = exact.matching_counts(g)
         want = [math.comb(n - k, k) if n - k >= k else 0 for k in range(n // 2 + 1)]
         if got != want:
-            raise _Failure(f"path-{n}", "binomial identity mismatch")
+            raise _Failure(_label("path", (n,)), "binomial identity mismatch")
     return "paths up to 20 vertices"
 
 
@@ -252,7 +249,7 @@ def _check_closed_vs_numeric_spectra(corpus: _Corpus) -> str:
         want = closed_form_spectrum(family, *params)
         gap = max(abs(a - b) for a, b in zip(want.values, got.values))
         if len(want) != len(got) or gap > 1e-8:
-            raise _Failure(f"{family}-{params}", f"eigenvalue gap {gap:.3e}")
+            raise _Failure(_label(family, params), f"eigenvalue gap {gap:.3e}")
     return f"{len(_SPECTRUM_CASES)} family members, n <= 64"
 
 
@@ -298,7 +295,7 @@ def _cone_laplacian(lap: np.ndarray) -> np.ndarray:
 def _check_cone_transform(corpus: _Corpus) -> str:
     cases = [(b.label, b.laplacian, b.spectrum) for b in corpus.bundles if 1 <= b.graph.n <= 12]
     cycles = [exact.laplacian_matrix(make_family(FamilySpec("cycle", (n,)))) for n in (15, 25, 40)]
-    cases += [(f"cycle-{len(lap)}", lap, s)
+    cases += [(_label("cycle", (len(lap),)), lap, s)
               for lap, s in zip(cycles, spectra.numeric_spectra(cycles))]
     cones = spectra.numeric_spectra([_cone_laplacian(lap) for _, lap, _ in cases])
     for (label, lap, s), want in zip(cases, cones):
@@ -325,7 +322,7 @@ def _check_variance_bounds(corpus: _Corpus) -> str:
     for n in range(3, 12):
         stats = limits.mean_variance(closed_form_spectrum("wheel", n))
         if stats.sigma2 + 1e-12 < limits.cone_variance_lower_bound(n, 2):
-            raise _Failure(f"wheel-{n}", "sigma2 below cone bound")
+            raise _Failure(_label("wheel", (n,)), "sigma2 below cone bound")
     return f"{len(corpus.bundles)} graphs + wheels 3..11"
 
 
@@ -342,12 +339,11 @@ def _check_clt_scale_invariance(corpus: _Corpus) -> str:
 
 
 def _check_generator_determinism(corpus: _Corpus) -> str:
-    specs = [(f"rtree-{n}", FamilySpec("random_tree", (n,), 42)) for n in (4, 9, 17)]
-    specs += [(f"regular-{n}-{d}", FamilySpec("random_regular", (n, d), 7))
-              for n, d in REGULAR_SHAPES]
-    for label, spec in specs:
+    specs = [FamilySpec("random_tree", (n,), 42) for n in (4, 9, 17)]
+    specs += [FamilySpec("random_regular", (n, d), 7) for n, d in REGULAR_SHAPES]
+    for spec in specs:
         if make_family(spec).edges != make_family(spec).edges:
-            raise _Failure(label, "same seed, different edges")
+            raise _Failure(_label(spec.family, spec.size, spec.seed), "same seed, different edges")
     return "trees and regular graphs"
 
 

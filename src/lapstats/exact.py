@@ -12,19 +12,21 @@ single graph is a stack of one, and many large graphs of one order go in
 stacks of at most MAX_STACK_ENTRIES running entries. Graphs are the only way
 in; no public function takes a matrix to the charpoly.
 
-* Bound. A (signless) Laplacian is positive semi-definite with trace 2|E|,
-  and every coefficient of det(xI - A) is an elementary symmetric function
-  of its eigenvalues, so the sum of its |c| is prod(1 + lambda_i) <=
-  ((n + 2|E|) / n)^n by AM-GM, which is at most (1 + 2 max degree)^n; the
-  guard and the stacked kernel both take their primes from it through
-  ``charpoly_guard``, 7 for a 4-regular graph on 128 vertices. Primes are
-  taken until their product M exceeds twice the bound; symmetric residues
-  mod M are then the integers themselves.
+* Sign. The stack holds A = -L (or -Q for the signless Laplacian), so
+  det(xI - A) is det(xI + L), whose coefficients are the c(G, k)
+  themselves: there is no sign to undo, and a negative one is an error.
+* Bound. L and Q are positive semi-definite with trace 2|E|, and every
+  c(G, k) is an elementary symmetric function of the eigenvalues, so their
+  sum is prod(1 + lambda_i) <= ((n + 2|E|) / n)^n by AM-GM, which is at most
+  (1 + 2 max degree)^n; the guard and the stacked kernel both take their
+  primes from it through ``charpoly_guard``, 7 for a 4-regular graph on 128
+  vertices. Primes are taken until their product M exceeds twice the bound;
+  symmetric residues mod M are then the integers themselves.
 * Primes. Each prime p exceeds n (so 1..n are invertible mod p) and
   p * max(R, n) < 2^53, where R = 2(n - 1) bounds every row sum 2 deg(v).
   A stays unreduced and the running matrix is reduced to [0, p), so every
-  partial sum of a product row or of a trace is an integer below 2^53 and
-  exact in float64, whatever order BLAS sums in.
+  partial sum of a product row or of a trace is an integer below 2^53 in
+  size and exact in float64, whatever order BLAS sums in.
 * Certificate. After the reconstruction each matrix's x^(n-1) and x^(n-2)
   coefficients are checked in Python integers against -tr A and
   (tr(A)^2 - tr(A^2)) / 2; a mismatch raises ArithmeticError naming the
@@ -36,10 +38,12 @@ matrix is built; ``families.route`` checks it, and ``dense_guard``, for a
 named family from its closed-form n and |E| before the graph is.
 Independent combinatorial routes exist so the pipeline can be cross-checked
 rather than trusted: spanning-forest sums by a dynamic programme over vertex
-partitions (``forest_sum_oracle``), matching counts by deletion/contraction
-on edge bitmasks (``matching_counts``), a fraction-free minor determinant,
-and the closed-form family formulas in ``families``. None of them shares
-code with the charpoly.
+partitions (``forest_sum_oracle``, on at most 16 edges or at most 9
+vertices that touch an edge, so K9 too), matching counts by
+deletion/contraction on edge bitmasks (``matching_counts``), spanning tree
+counts by a fraction-free minor determinant with no pivot search
+(``_tree_count``), and the closed-form family formulas in ``families``.
+None of them shares code with the charpoly.
 
 Coefficient vectors are plain lists c[0..n] of nonnegative integers with
 sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.
@@ -55,7 +59,6 @@ import numpy as np
 from .errors import GuardExceeded, InputError
 from .graphs import Graph, bfs_distances
 
-FOREST_EDGE_GUARD = 24
 # partitions the forest oracle may hold, bounded before it starts by
 # min(Bell(t), 2^|E|) over the t vertices that touch an edge: any graph on at
 # most 9 such vertices (Bell(9) = 21147), or on at most 16 edges
@@ -227,13 +230,12 @@ def laplacian_coefficients_many(graphs, signless: bool = False) -> list[list[int
         size = max(1, MAX_STACK_ENTRIES // (len(primes) * n * n or 1))
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
-            stack = np.stack([laplacian_matrix(graphs[i], signless) for i in chunk])
+            stack = np.stack([-laplacian_matrix(graphs[i], signless) for i in chunk])
             for i, poly in zip(chunk, _faddeev_leverrier(stack, primes)):
-                for k in range(n + 1):
-                    value = poly[k] if (n - k) % 2 == 0 else -poly[k]
-                    if value < 0:
-                        raise ArithmeticError(f"negative {label} coefficient c[{k}] = {value}")
-                    out[i].append(value)
+                if min(poly) < 0:
+                    k = next(k for k, c in enumerate(poly) if c < 0)
+                    raise ArithmeticError(f"negative {label} coefficient c[{k}] = {poly[k]}")
+                out[i] = poly
     return out
 
 
@@ -242,10 +244,14 @@ def laplacian_coefficients(g: Graph, signless: bool = False) -> list[int]:
     return laplacian_coefficients_many([g], signless)[0]
 
 
-def _bell(n: int) -> int:
-    """The number of partitions of an n-set, by the Bell triangle."""
+def _bell(n: int, cap: int) -> int:
+    """The number of partitions of an n-set, by the Bell triangle; the
+    triangle stops at the first Bell number above cap, which stands in for
+    any larger one."""
     row = [1]
     for _ in range(n):
+        if row[0] > cap:
+            break
         nxt = [row[-1]]
         for x in row:
             nxt.append(nxt[-1] + x)
@@ -263,20 +269,19 @@ def forest_sum_oracle(g: Graph) -> list[int]:
     vertices that touch an edge, and each edge, in sorted order, either is
     skipped or merges two blocks. A partition is ``bytes`` mapping each
     vertex to the smallest vertex of its block, so a merge is one
-    ``bytes.replace``. There are at most min(Bell(t), 2^|E|) partitions;
-    guarded at |E| <= FOREST_EDGE_GUARD and at that many partitions
-    <= FOREST_STATE_GUARD, both before any work.
+    ``bytes.replace``. There are at most min(Bell(t), 2^|E|) partitions,
+    guarded at FOREST_STATE_GUARD before any work, which alone bounds the
+    DP: it admits every graph on at most 9 touched vertices, K9 included,
+    and every graph on at most 16 edges.
     """
-    if g.edge_count > FOREST_EDGE_GUARD:
-        raise GuardExceeded(
-            f"forest enumeration guard: {g.edge_count} edges > {FOREST_EDGE_GUARD}"
-        )
     touched = sorted({v for e in g.edges for v in e})
     t = len(touched)
-    states = min(_bell(t), 1 << g.edge_count)
-    if states > FOREST_STATE_GUARD:
+    cap = FOREST_STATE_GUARD
+    # each bound is computed only until it passes the guard: Bell(10) and 2^17
+    if min(_bell(t, cap), 1 << min(g.edge_count, cap.bit_length())) > cap:
         raise GuardExceeded(
-            f"forest partition guard: up to {states} partitions of {t} vertices > {FOREST_STATE_GUARD}"
+            f"forest partition guard: more than {cap} partitions of {t} vertices "
+            f"by {g.edge_count} edges"
         )
     index = {v: i for i, v in enumerate(touched)}
     single = [bytes((i,)) for i in range(t)]
@@ -343,34 +348,29 @@ def matching_counts(g: Graph) -> list[int]:
 
 def _tree_count(laplacian: np.ndarray) -> int:
     """Exact determinant of the principal minor that drops vertex 0, by
-    fraction-free (Bareiss) elimination with row pivoting."""
+    fraction-free (Bareiss) elimination without pivoting.
+
+    The k-th pivot is the leading principal minor of order k + 1 and the last
+    is the determinant. The minor is positive semi-definite, so a zero pivot
+    means a singular leading block, whose null vector, padded with zeros, is
+    a null vector of the whole minor: the determinant is 0.
+    """
     a = laplacian[1:, 1:].astype(int).tolist()
     n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
+    for k, row_k in enumerate(a):
+        pivot = row_k[k]
+        if pivot == 0:
+            return 0
+        for row_i in a[k + 1:]:
             factor = row_i[k]
             for j in range(k + 1, n):
                 q, r = divmod(row_i[j] * pivot - factor * row_k[j], prev)
                 if r:
                     raise ArithmeticError("inexact division in fraction-free elimination")
                 row_i[j] = q
-            row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return prev
 
 
 def spanning_tree_count(g: Graph) -> int:

@@ -399,9 +399,10 @@ class TestExitCodes:
                 families.FAMILIES["path"], coefficients=lambda n: families._solve([[-2], [3, 2]], 1)))
             argv = ["coeffs", "--family", "path", "--n", "5"]
         else:
-            # a charpoly of all-ones coefficients, half of them negative as c_k
+            # a charpoly of the stacked -L with one negative coefficient, which
+            # det(xI + L) never has
             monkeypatch.setattr(exact, "_faddeev_leverrier",
-                                lambda stack, primes: [[1] * (stack.shape[1] + 1)] * len(stack))
+                                lambda stack, primes: [[-1] + [1] * stack.shape[1]] * len(stack))
             argv = ["coeffs", "--family", "random_tree", "--n", "6", "--seed", "1"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""

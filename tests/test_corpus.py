@@ -106,7 +106,7 @@ def test_a_failing_check_is_reported_and_the_rest_still_run(monkeypatch, capsys)
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 19
-    assert lines[5] == "tree wiener identity: FAIL (rtree-4-s00: c[2] != wiener index)"
+    assert lines[5] == "tree wiener identity: FAIL (random_tree-4-s00: c[2] != wiener index)"
     assert sum(line.split(": ")[1].startswith("PASS (") for line in lines[:18]) == 17
     assert lines[-1] == "verification: FAIL (17/18 checks)"
 

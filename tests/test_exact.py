@@ -214,8 +214,14 @@ class TestForestOracle:
             assert forest_sum_oracle(g) == laplacian_coefficients(g)
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded, match="forest enumeration guard"):
-            forest_sum_oracle(fam("complete", 8))  # 28 edges
+        # the partition guard alone bounds the DP, so a dense graph on at most
+        # 9 vertices is served whatever its edge count (K9 has 36 edges)
+        for family, size in (("complete", (8,)), ("complete", (9,)),
+                             ("complete_bipartite", (4, 5))):
+            assert forest_sum_oracle(fam(family, *size)) == closed_form_coefficients(family, *size)
+        # 34 touched vertices and 2^17 edge subsets
+        with pytest.raises(GuardExceeded, match="partition guard"):
+            forest_sum_oracle(fam("matching_union", 17))
 
     def test_partition_guard_boundary(self):
         # path 17 has 2^16 edge subsets, at the partition guard; path 18 has
@@ -228,7 +234,8 @@ class TestForestOracle:
     def test_partition_guard_refuses_before_work(self):
         # the DP on path 18 would hold 2^17 partitions, tens of MB
         dense10 = Graph(10, list(itertools.combinations(range(10), 2))[:24])
-        for g in (fam("path", 18), fam("path", 25), dense10):  # Bell(10) = 115975
+        cases = (fam("path", 18), fam("path", 25), fam("matching_union", 17), dense10)
+        for g in cases:  # Bell(10) = 115975
             tracemalloc.start()
             try:
                 with pytest.raises(GuardExceeded, match="partition guard"):
@@ -237,6 +244,12 @@ class TestForestOracle:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 16
+
+    def test_partition_guard_stops_its_bell_triangle(self):
+        # the triangle stops at Bell(10), past the guard; the full one on
+        # 20000 rows would take hours
+        with pytest.raises(GuardExceeded, match="partition guard"):
+            forest_sum_oracle(fam("path", 20000))
 
 
 class TestMatchings:
@@ -272,6 +285,25 @@ class TestSpanningTrees:
 
     def test_single_vertex(self):
         assert spanning_tree_count(Graph(1)) == 1
+
+    @pytest.mark.parametrize("g", [
+        Graph(4, [(0, 2), (2, 3)]),  # vertex 1 isolated: the first pivot is 0
+        Graph(4, [(1, 2), (2, 3), (1, 3)]),  # vertex 0 isolated: the last pivot is 0
+        # components {0, 2, 4, 5} and {1, 3}: the third pivot is 0, rows below it
+        Graph(6, [(0, 2), (2, 4), (4, 5), (1, 3)]),
+    ], ids=["vertex-1-isolated", "vertex-0-isolated", "interleaved-components"])
+    def test_zero_pivot_is_zero(self, g):
+        assert spanning_tree_count(g) == 0
+
+    def test_matches_the_forest_oracle(self):
+        # c(G, 1) = n tau(G) by the forest expansion, which shares no code
+        # with the elimination; disconnected and edgeless graphs included
+        rng = random.Random(35)
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            p = rng.random()
+            g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            assert g.n * spanning_tree_count(g) == forest_sum_oracle(g)[1]
 
 
 class TestClosedForms:
