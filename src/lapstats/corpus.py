@@ -8,13 +8,13 @@ coefficients are computed once per run, by one stacked exact charpoly per
 vertex count over the corpus and the extra trees, and shared by every check
 that needs them, as are the mean and variance of its spectrum and its
 normalized probabilities; the bipartite signless check stacks its graphs the
-same way, with ``signless=True``. The charpoly builds its matrices from the
-graphs; each corpus Laplacian is built once more, for the numeric spectrum,
-the spanning tree count and the cone check. The corpus Laplacians, the cone
-Laplacians and the closed-form spectrum cases each go to
-``spectra.numeric_spectra`` as one list, which stacks them by order itself:
-one certified ``eigvalsh`` call per order, each spectrum bit for bit what a
-call per matrix gives.
+same way, with ``signless=True``. The corpus graphs, their cones and the
+closed-form spectrum cases each go to ``spectra.numeric_spectra`` as one
+list of graphs, which builds their Laplacians and stacks them by order
+itself: one certified ``eigvalsh`` call per order, each spectrum bit for bit
+what a call per graph gives. Both engines build their matrices from the
+graphs, and the spanning tree count builds its minor in Python ints, so no
+check here holds a matrix.
 ``_CHECKS`` is the one table of (name, check) pairs, in the printed order. A
 check returns its PASS detail or raises ``_Failure(label, what)`` at its first
 counterexample; ``run_verification`` alone builds the result lines and runs
@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import exact, limits, spectra
 from .families import (
     FAMILIES,
@@ -36,7 +34,7 @@ from .families import (
     closed_form_spectrum,
     make_family,
 )
-from .graphs import Graph, component_count, is_bipartite, subdivision
+from .graphs import Graph, component_count, cone, is_bipartite, subdivision
 
 TREE_SEEDS = tuple(range(20))
 REGULAR_SEEDS = tuple(range(10))
@@ -95,7 +93,6 @@ class _Bundle:
     graph: Graph
     coeffs: list[int]
     spectrum: spectra.Spectrum
-    laplacian: np.ndarray
     stats: limits.LimitStats  # of the spectrum
     probs: list[float]  # the normalized coefficients
 
@@ -117,13 +114,11 @@ def _corpus() -> _Corpus:
     everything = graphs + extra
     coeffs = dict(zip((label for label, _ in everything),
                       exact.laplacian_coefficients_many(g for _, g in everything)))
-    # for the numeric spectrum, the spanning tree count and the cone check
-    matrices = [exact.laplacian_matrix(g) for _, g in graphs]
-    numeric = spectra.numeric_spectra(matrices)
+    numeric = spectra.numeric_spectra(g for _, g in graphs)
     bundles = [
-        _Bundle(label=label, graph=g, coeffs=coeffs[label], spectrum=s, laplacian=lap,
+        _Bundle(label=label, graph=g, coeffs=coeffs[label], spectrum=s,
                 stats=limits.mean_variance(s), probs=limits.normalized_probabilities(coeffs[label]))
-        for (label, g), lap, s in zip(graphs, matrices, numeric)
+        for (label, g), s in zip(graphs, numeric)
     ]
     return _Corpus(bundles, trees, coeffs)
 
@@ -145,7 +140,7 @@ def _check_exact_identities(corpus: _Corpus) -> str:
         n = g.n
         if c[n] != 1 or c[n - 1] != 2 * g.edge_count or (n >= 1 and c[0] != 0):
             raise _Failure(b.label, "leading/edge/constant identity")
-        if c[1] != n * exact._tree_count(b.laplacian):
+        if c[1] != n * exact.spanning_tree_count(g):
             raise _Failure(b.label, "c[1] != n * spanning tree count")
         r = component_count(g)
         for k in range(n + 1):
@@ -242,9 +237,8 @@ _SPECTRUM_CASES = (
 
 
 def _check_closed_vs_numeric_spectra(corpus: _Corpus) -> str:
-    numeric = spectra.numeric_spectra(
-        [exact.laplacian_matrix(make_family(FamilySpec(family, params)))
-         for family, params in _SPECTRUM_CASES])
+    numeric = spectra.numeric_spectra(make_family(FamilySpec(family, params))
+                                      for family, params in _SPECTRUM_CASES)
     for (family, params), got in zip(_SPECTRUM_CASES, numeric):
         want = closed_form_spectrum(family, *params)
         gap = max(abs(a - b) for a, b in zip(want.values, got.values))
@@ -282,24 +276,14 @@ def _check_reconstruction(corpus: _Corpus) -> str:
     return f"{len(corpus.bundles)} graphs"
 
 
-def _cone_laplacian(lap: np.ndarray) -> np.ndarray:
-    """The Laplacian of the cone over an n-vertex graph, apex last, from the
-    graph's: L + I bordered by -1, with n in the corner."""
-    n = len(lap)
-    out = np.full((n + 1, n + 1), -1.0)
-    out[:n, :n] = lap + np.eye(n)
-    out[n, n] = n
-    return out
-
-
 def _check_cone_transform(corpus: _Corpus) -> str:
-    cases = [(b.label, b.laplacian, b.spectrum) for b in corpus.bundles if 1 <= b.graph.n <= 12]
-    cycles = [exact.laplacian_matrix(make_family(FamilySpec("cycle", (n,)))) for n in (15, 25, 40)]
-    cases += [(_label("cycle", (len(lap),)), lap, s)
-              for lap, s in zip(cycles, spectra.numeric_spectra(cycles))]
-    cones = spectra.numeric_spectra([_cone_laplacian(lap) for _, lap, _ in cases])
-    for (label, lap, s), want in zip(cases, cones):
-        got = spectra.cone_spectrum(s, len(lap))
+    cases = [(b.label, b.graph, b.spectrum) for b in corpus.bundles if 1 <= b.graph.n <= 12]
+    cycles = [make_family(FamilySpec("cycle", (n,))) for n in (15, 25, 40)]
+    cases += [(_label("cycle", (g.n,)), g, s)
+              for g, s in zip(cycles, spectra.numeric_spectra(cycles))]
+    cones = spectra.numeric_spectra(cone(g) for _, g, _ in cases)
+    for (label, g, s), want in zip(cases, cones):
+        got = spectra.cone_spectrum(s, g.n)
         gap = max(abs(a - b) for a, b in zip(got.values, want.values))
         if gap > 1e-8:
             raise _Failure(label, f"cone spectrum gap {gap:.3e}")

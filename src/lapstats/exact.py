@@ -10,7 +10,8 @@ entry, for either Laplacian: it builds each graph's matrix itself and stacks
 them by vertex count, so ``verify`` runs one charpoly per order and sign; a
 single graph is a stack of one, and many large graphs of one order go in
 stacks of at most MAX_STACK_ENTRIES running entries. Graphs are the only way
-in; no public function takes a matrix to the charpoly.
+in: ``spectra.numeric_spectra`` builds its matrices by the same
+``laplacian_matrix``, and no public function takes a matrix to either engine.
 
 * Sign. The stack holds A = -L (or -Q for the signless Laplacian), so
   det(xI - A) is det(xI + L), whose coefficients are the c(G, k)
@@ -41,9 +42,10 @@ rather than trusted: spanning-forest sums by a dynamic programme over vertex
 partitions (``forest_sum_oracle``, on at most 16 edges or at most 9
 vertices that touch an edge, so K9 too), matching counts by
 deletion/contraction on edge bitmasks (``matching_counts``), spanning tree
-counts by a fraction-free minor determinant with no pivot search
-(``_tree_count``), and the closed-form family formulas in ``families``.
-None of them shares code with the charpoly.
+counts by a fraction-free minor determinant with no pivot search on a
+minor built in Python ints from the degrees and the edges
+(``spanning_tree_count``), and the closed-form family formulas in
+``families``. None of them shares code with the charpoly.
 
 Coefficient vectors are plain lists c[0..n] of nonnegative integers with
 sum(c[k] * x**k) = prod(x + lambda_i) over the Laplacian eigenvalues.
@@ -346,8 +348,9 @@ def matching_counts(g: Graph) -> list[int]:
     return list(raw) + [0] * (length - len(raw))
 
 
-def _tree_count(laplacian: np.ndarray) -> int:
-    """Exact determinant of the principal minor that drops vertex 0, by
+def spanning_tree_count(g: Graph) -> int:
+    """Number of spanning trees: the determinant of the Laplacian minor that
+    drops vertex 0, built in Python ints from the degrees and the edges, by
     fraction-free (Bareiss) elimination without pivoting.
 
     The k-th pivot is the leading principal minor of order k + 1 and the last
@@ -355,8 +358,15 @@ def _tree_count(laplacian: np.ndarray) -> int:
     means a singular leading block, whose null vector, padded with zeros, is
     a null vector of the whole minor: the determinant is 0.
     """
-    a = laplacian[1:, 1:].astype(int).tolist()
-    n = len(a)
+    if g.n < 1:
+        raise InputError("spanning_tree_count needs at least one vertex")
+    n = g.n - 1
+    a = [[0] * n for _ in range(n)]
+    for v, d in enumerate(g.degrees()[1:]):
+        a[v][v] = d
+    for u, v in g.edges:
+        if u:  # u < v, so an edge at vertex 0 has u = 0 and leaves the minor
+            a[u - 1][v - 1] = a[v - 1][u - 1] = -1
     prev = 1
     for k, row_k in enumerate(a):
         pivot = row_k[k]
@@ -371,13 +381,6 @@ def _tree_count(laplacian: np.ndarray) -> int:
                 row_i[j] = q
         prev = pivot
     return prev
-
-
-def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees: determinant of a principal Laplacian minor."""
-    if g.n < 1:
-        raise InputError("spanning_tree_count needs at least one vertex")
-    return _tree_count(laplacian_matrix(g))
 
 
 def coefficients_from_eigenvalues(values) -> list:

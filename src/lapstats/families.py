@@ -444,7 +444,7 @@ def route(source: FamilySpec | Graph, what: str, signless: bool = False) -> Call
 
     if what == "spectrum":
         exact.dense_guard(source.n)
-        return lambda: (g := graph(), spectra.numeric_spectrum(exact.laplacian_matrix(g, signless)))
+        return lambda: (g := graph(), spectra.numeric_spectra([g], signless)[0])
     exact.charpoly_guard(source.n, source.edge_count)
     return lambda: exact.laplacian_coefficients(graph(), signless)
 

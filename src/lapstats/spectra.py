@@ -2,12 +2,14 @@
 of a cone, and eigenvalue bounds.
 
 The numeric solver is LAPACK's symmetric eigensolver through numpy
-``eigvalsh``: ``numeric_spectra`` takes matrices of any orders and stacks
-them by order itself, one call per order, and a single matrix is a sequence
-of one. Each result must pass a trace certificate (eigenvalue sum
-against the matrix trace); the solver fails loudly instead of returning junk.
-The closed-form family spectra in ``families`` are its oracle in ``verify``
-and the tests.
+``eigvalsh``. ``numeric_spectra(graphs, signless)`` is the one entry, as
+``exact.laplacian_coefficients_many`` is the charpoly's: it builds each
+graph's (signless) Laplacian itself under the dense guard and stacks them by
+order, one call per order, and a single graph is a sequence of one. Graphs
+are the only way in; no public function takes a matrix to the solver. Each
+result must pass a trace certificate (eigenvalue sum against the matrix
+trace); the solver fails loudly instead of returning junk. The closed-form
+family spectra in ``families`` are its oracle in ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exact
 from .errors import ConvergenceError, InputError
 from .graphs import Graph
 
@@ -49,66 +52,56 @@ class Spectrum:
         return len(self.values)
 
 
-def numeric_spectra(matrices) -> list[Spectrum]:
-    """Eigenvalues of each symmetric integer matrix of a sequence, of any
-    orders (a (B, n, n) array is a sequence of B), in input order, by one
-    LAPACK call (numpy ``eigvalsh``) per order.
+def numeric_spectra(graphs, signless: bool = False) -> list[Spectrum]:
+    """Laplacian spectra of graphs of any orders, or signless Laplacian
+    spectra if ``signless``, in input order, by one LAPACK call (numpy
+    ``eigvalsh``) per order.
 
-    Same-order matrices are stacked; a float64 matrix alone at its order is
-    read as a view, with no copy. Every result is certified by its own
-    trace: if a matrix's eigenvalue sum misses its trace by more than
-    TRACE_TOL * max(1, |trace|), or LAPACK fails, ConvergenceError is
-    raised. Tiny negative results within 10 * SNAP_TOL * scale of zero
-    (scale = Frobenius norm of that matrix) are snapped to 0, since the
-    matrices of interest are positive semi-definite. Each spectrum is bit
-    for bit the one a call on its matrix alone gives.
+    Every graph meets the dense guard before any matrix is built. Each
+    order's matrices are stacked; a matrix alone at its order is read as a
+    view, with no copy. Each spectrum is bit for bit the one a call on its
+    graph alone gives, and is certified as ``_eigvalsh`` says.
     """
-    try:
-        mats = list(matrices)
-    except TypeError:
-        raise InputError(f"matrix sequence expected, got {type(matrices).__name__}") from None
+    graphs = list(graphs)
     by_order: dict[int, list[int]] = {}
-    for i, m in enumerate(mats):
-        try:
-            if np.iscomplexobj(m):  # float would drop the imaginary parts
-                raise TypeError
-            m = mats[i] = np.asarray(m, dtype=float)
-        except (TypeError, ValueError):  # ragged rows, or an entry that is not a real number
-            raise InputError(f"matrix must be an array of real numbers{_member(mats, i)}") from None
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError(f"matrix must be square{_member(mats, i)}")
-        if not (m == m.T).all():
-            raise InputError(f"matrix must be symmetric{_member(mats, i)}")
-        by_order.setdefault(len(m), []).append(i)
-    out: list[Spectrum] = [None] * len(mats)
+    for i, g in enumerate(graphs):
+        exact.dense_guard(g.n)
+        by_order.setdefault(g.n, []).append(i)
+    out: list[Spectrum] = [None] * len(graphs)
     for members in by_order.values():
-        stack = np.stack([mats[i] for i in members]) if len(members) > 1 else mats[members[0]][None]
-        try:
-            values = np.linalg.eigvalsh(stack)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"LAPACK eigvalsh failed: {exc}") from None
-        for i, v in zip(members, values):
-            m = mats[i]
-            trace = float(np.trace(m))
-            residual = abs(math.fsum(v) - trace)
-            # negated so that a NaN residual fails the certificate too
-            if not residual <= TRACE_TOL * max(1.0, abs(trace)):
-                raise ConvergenceError(
-                    f"eigenvalue sum misses the trace by {residual:.3e}{_member(mats, i)}")
-            snap = 10.0 * SNAP_TOL * float(np.linalg.norm(m))
-            out[i] = Spectrum(np.where((-snap < v) & (v < 0.0), 0.0, v))
+        mats = [exact.laplacian_matrix(graphs[i], signless) for i in members]
+        for i, s in zip(members, _eigvalsh(mats, members if len(graphs) > 1 else None)):
+            out[i] = s
     return out
 
 
-def _member(matrices: list, i: int) -> str:
-    """Where a failing matrix sits in the input, when there is more than one."""
-    return f" (stack member {i})" if len(matrices) > 1 else ""
+def _eigvalsh(mats: list[np.ndarray], members: list[int] | None) -> list[Spectrum]:
+    """Eigenvalues of same-order symmetric float64 matrices by one certified
+    LAPACK call on their stack, or on a view of a lone one; ``members`` are
+    their input indices, which an error names.
 
-
-def numeric_spectrum(matrix) -> Spectrum:
-    """Eigenvalues of one symmetric integer matrix: ``numeric_spectra`` on a
-    sequence of one, with its certificates."""
-    return numeric_spectra([matrix])[0]
+    If a matrix's eigenvalue sum misses its trace by more than
+    TRACE_TOL * max(1, |trace|), or LAPACK fails, ConvergenceError is
+    raised. Tiny negative results within 10 * SNAP_TOL * scale of zero
+    (scale = Frobenius norm of that matrix) are snapped to 0, since the
+    matrices of interest are positive semi-definite.
+    """
+    stack = np.stack(mats) if len(mats) > 1 else mats[0][None]
+    try:
+        values = np.linalg.eigvalsh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigvalsh failed: {exc}") from None
+    out = []
+    for j, (m, v) in enumerate(zip(mats, values)):
+        trace = float(np.trace(m))
+        residual = abs(math.fsum(v) - trace)
+        # negated so that a NaN residual fails the certificate too
+        if not residual <= TRACE_TOL * max(1.0, abs(trace)):
+            where = "" if members is None else f" (stack member {members[j]})"
+            raise ConvergenceError(f"eigenvalue sum misses the trace by {residual:.3e}{where}")
+        snap = 10.0 * SNAP_TOL * float(np.linalg.norm(m))
+        out.append(Spectrum(np.where((-snap < v) & (v < 0.0), 0.0, v)))
+    return out
 
 
 def cone_spectrum(s: Spectrum, n: int) -> Spectrum:

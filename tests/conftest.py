@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lapstats import exact
+from lapstats import exact, spectra
 from lapstats.graphs import Graph
 
 
@@ -27,3 +27,15 @@ def kernel():
         return exact._faddeev_leverrier(m, exact._moduli(n, (1 + r) ** n))[0]
 
     return charpoly
+
+
+@pytest.fixture
+def eigensolver():
+    """Spectra of same-order symmetric matrices by the eigensolver's
+    certified per-order step: one LAPACK call on their stack (a view for a
+    lone matrix), the trace certificate and the snap. The solver's
+    arithmetic on matrices that no graph has, which no public route takes."""
+    def solve(matrices):
+        return spectra._eigvalsh([np.asarray(m, dtype=np.float64) for m in matrices], None)
+
+    return solve

@@ -6,7 +6,6 @@ from lapstats import cli, exact, limits
 from lapstats.corpus import (
     _check_cone_transform,
     _check_exact_identities,
-    _cone_laplacian,
     _corpus,
     corpus_graphs,
     run_verification,
@@ -50,8 +49,8 @@ def test_verify_stacks_its_numeric_spectra_by_order(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert all(r.ok for r in run_verification())
-    # one stack per order for the corpus Laplacians (orders 1..12), the
-    # closed-form spectrum cases and the cone Laplacians
+    # one stack per order for the corpus graphs (orders 1..12), the
+    # closed-form spectrum cases and the cones
     assert len(stacks) == 42
     assert sum(stacks) == 546
 
@@ -72,7 +71,7 @@ def test_corpus_builds_each_laplacian_once(monkeypatch):
     monkeypatch.setattr(exact, "laplacian_matrix", counted)
     corpus = _corpus()
     # the charpoly builds every corpus graph and every extra tree once, and
-    # the bundles each corpus graph once more
+    # the numeric solver each corpus graph once more
     times = Counter(map(id, built))
     extra = [t for _, t in corpus.trees if t.n > 9]
     assert len(corpus.coeffs) == len(corpus.bundles) + len(extra) == 314
@@ -81,11 +80,14 @@ def test_corpus_builds_each_laplacian_once(monkeypatch):
     assert not times
     built.clear()
     assert _check_cone_transform(corpus) == "257 graphs"
-    # only the three cycles that are not corpus graphs
-    assert [g.n for g in built] == [15, 25, 40]
+    # the three cycles that are not corpus graphs, then one cone per case
+    assert [g.n for g in built[:3]] == [15, 25, 40]
+    cones = Counter(g.n for g in built[3:])
+    assert sum(cones.values()) == 257
+    assert cones == Counter([b.graph.n + 1 for b in corpus.bundles] + [16, 26, 41])
     built.clear()
     assert _check_exact_identities(corpus) == "254 graphs"
-    assert built == []  # spanning tree minors come from the bundles' Laplacians
+    assert built == []  # spanning tree minors are built in Python ints
 
 
 def test_verify_takes_each_bundles_moments_once(monkeypatch):
@@ -112,6 +114,11 @@ def test_a_failing_check_is_reported_and_the_rest_still_run(monkeypatch, capsys)
 
 
 def test_cone_laplacian_is_the_built_one():
+    # the cone check's matrix is the base's L + I bordered by -1 with n in
+    # the corner, apex last, which is what cone_spectrum transforms
     for _, g in corpus_graphs():
-        lap = exact.laplacian_matrix(g)
-        assert np.array_equal(_cone_laplacian(lap), exact.laplacian_matrix(cone(g)))
+        n = g.n
+        want = np.full((n + 1, n + 1), -1.0)
+        want[:n, :n] = exact.laplacian_matrix(g) + np.eye(n)
+        want[n, n] = n
+        assert np.array_equal(exact.laplacian_matrix(cone(g)), want)

@@ -3,9 +3,9 @@ import math
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
+from lapstats import exact
 from lapstats.corpus import corpus_graphs
 from lapstats.errors import GuardExceeded, InputError
 from lapstats.exact import (
@@ -21,7 +21,7 @@ from lapstats.exact import (
 )
 from lapstats.families import FamilySpec, closed_form_coefficients, make_family
 from lapstats.graphs import Graph, subdivision
-from lapstats.spectra import numeric_spectra, numeric_spectrum
+from lapstats.spectra import numeric_spectra
 
 
 def fam(name, *size):
@@ -57,12 +57,13 @@ class TestMatrices:
         pytest.param(False, -1, id="laplacian_matrix--1"),
         pytest.param(True, 1, id="signless_laplacian_matrix-1"),
     ])
-    def test_corpus_matches_list_builder(self, signless, sign):
+    def test_corpus_matches_list_builder(self, signless, sign, eigensolver):
         for label, g in corpus_graphs():
             m = laplacian_matrix(g, signless)
             want = reference_matrix(g, sign)
             assert m.dtype == float and m.tolist() == want, label
-            got, expected = numeric_spectrum(m).values, numeric_spectrum(want).values
+            got = numeric_spectra([g], signless)[0].values
+            expected = eigensolver([want])[0].values
             assert got.tolist() == expected.tolist(), label
 
     def test_spectrum_of_built_matrix_peaks_near_one_matrix(self):
@@ -70,7 +71,7 @@ class TestMatrices:
         g = fam("path", n)
         tracemalloc.start()
         try:
-            numeric_spectrum(laplacian_matrix(g))
+            numeric_spectra([g])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -88,19 +89,6 @@ class TestCharpoly:
 
     def test_identity(self, kernel):
         assert kernel([[1, 0], [0, 1]]) == [1, -2, 1]
-
-
-@pytest.mark.parametrize("route, matrix", [
-    (numeric_spectrum, [[1, 2], [3]]),
-    (numeric_spectrum, [[1, "ab"], ["ab", 2]]),
-    (numeric_spectra, 5),
-    # a complex array, which float64 would take with its imaginary parts dropped
-    (numeric_spectra, [np.array([[2, 1j], [-1j, 2]])]),
-], ids=["spectrum-ragged", "spectrum-text", "spectra-number", "spectra-complex-array"])
-def test_malformed_nested_input_is_an_input_error(route, matrix):
-    # an InputError, which the CLI maps to exit 2, not an error from numpy or a builtin
-    with pytest.raises(InputError, match="^matrix"):
-        route(matrix)
 
 
 class TestCoefficients:
@@ -285,6 +273,15 @@ class TestSpanningTrees:
 
     def test_single_vertex(self):
         assert spanning_tree_count(Graph(1)) == 1
+
+    def test_no_laplacian_matrix_is_built(self, monkeypatch):
+        # the minor comes from the degrees and the edges, not the charpoly's matrix
+        def refuse(g, signless=False):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(exact, "laplacian_matrix", refuse)
+        assert spanning_tree_count(fam("wheel", 5)) == 121
+        assert spanning_tree_count(fam("complete_bipartite", 2, 3)) == 12
 
     @pytest.mark.parametrize("g", [
         Graph(4, [(0, 2), (2, 3)]),  # vertex 1 isolated: the first pivot is 0

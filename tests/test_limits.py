@@ -12,7 +12,7 @@ from lapstats import cli, limits
 from lapstats.corpus import _FAMILY_MEMBERS, corpus_graphs
 from lapstats.diagnostics import DiagnosticsRow, diagnose
 from lapstats.errors import InputError
-from lapstats.exact import laplacian_coefficients, laplacian_matrix
+from lapstats.exact import laplacian_coefficients
 from lapstats.families import (
     FamilySpec,
     closed_form_coefficients,
@@ -34,7 +34,7 @@ from lapstats.limits import (
     probabilities_from_spectrum,
     variance_lower_bound,
 )
-from lapstats.spectra import Spectrum, numeric_spectrum
+from lapstats.spectra import Spectrum, numeric_spectra
 
 
 def fam(name, *size):
@@ -157,7 +157,7 @@ def _log_domain_probabilities(values) -> list[float]:
 def _corpus_spectra() -> list[Spectrum]:
     closed = [closed_form_spectrum(f, *p) for f, p in _FAMILY_MEMBERS
               if family_record(f).spectrum is not None]
-    return closed + [numeric_spectrum(laplacian_matrix(g)) for _, g in corpus_graphs()]
+    return closed + numeric_spectra(g for _, g in corpus_graphs())
 
 
 def _seeded_spectra() -> list[Spectrum]:
@@ -284,7 +284,7 @@ class TestCltDistance:
     def test_scale_invariance(self):
         g = fam("wheel", 8)
         coeffs = laplacian_coefficients(g)
-        stats = mean_variance(numeric_spectrum(laplacian_matrix(g)))
+        stats = mean_variance(numeric_spectra([g])[0])
         base = clt_distance(normalized_probabilities(coeffs), stats)
         scaled = clt_distance(normalized_probabilities([c * 1000 for c in coeffs]), stats)
         assert abs(base - scaled) <= 1e-12
@@ -419,7 +419,7 @@ class TestFamilyConstants:
 def test_moment_consistency_links_both_routes():
     for family, params in (("wheel", (7,)), ("complete_bipartite", (3, 4)), ("path", (9,))):
         g = make_family(FamilySpec(family, params))
-        stats = mean_variance(numeric_spectrum(laplacian_matrix(g)))
+        stats = mean_variance(numeric_spectra([g])[0])
         probs = normalized_probabilities(laplacian_coefficients(g))
         mean = math.fsum(k * p for k, p in enumerate(probs))
         var = math.fsum((k - mean) ** 2 * p for k, p in enumerate(probs))

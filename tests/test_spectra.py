@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from lapstats import cli
+from lapstats import cli, exact
 from lapstats.corpus import corpus_graphs
-from lapstats.errors import ConvergenceError, InputError
+from lapstats.errors import ConvergenceError, GuardExceeded, InputError
 from lapstats.exact import coefficients_from_eigenvalues, laplacian_coefficients, laplacian_matrix
 from lapstats.families import FamilySpec, closed_form_spectrum, make_family
 from lapstats.graphs import Graph, cone
@@ -17,7 +17,6 @@ from lapstats.spectra import (
     cone_spectrum,
     gershgorin_bound,
     numeric_spectra,
-    numeric_spectrum,
     trace_check,
 )
 
@@ -27,7 +26,7 @@ def fam(name, *size):
 
 
 def lap_spectrum(g):
-    return numeric_spectrum(laplacian_matrix(g))
+    return numeric_spectra([g])[0]
 
 
 class TestNumericSolver:
@@ -43,22 +42,27 @@ class TestNumericSolver:
         s = lap_spectrum(fam("cycle", 4))
         assert s.values == pytest.approx((4.0, 2.0, 2.0, 0.0), abs=1e-10)
 
-    def test_identity_matrix(self):
-        assert numeric_spectrum([[1, 0], [0, 1]]).values.tolist() == [1.0, 1.0]
+    def test_identity_matrix(self, eigensolver):
+        assert eigensolver([[[1, 0], [0, 1]]])[0].values.tolist() == [1.0, 1.0]
 
     def test_zero_matrix(self):
-        values = numeric_spectrum([[0] * 3 for _ in range(3)]).values.tolist()
+        values = lap_spectrum(Graph(3)).values.tolist()
         assert values == [0.0, 0.0, 0.0]
         assert all(math.copysign(1.0, v) == 1.0 for v in values)  # +0.0, never -0.0
-        assert numeric_spectrum(np.zeros((0, 0))).values.tolist() == []
+        assert lap_spectrum(Graph(0)).values.tolist() == []
 
-    def test_non_symmetric_rejected(self):
-        with pytest.raises(InputError, match="symmetric"):
-            numeric_spectrum([[0, 1], [2, 0]])
+    def test_signless(self):
+        # K3's signless Laplacian 2I + A has eigenvalues 4, 1, 1
+        s = numeric_spectra([fam("complete", 3)], signless=True)[0]
+        assert s.values == pytest.approx((4.0, 1.0, 1.0), abs=1e-12)
 
-    def test_a_stack_is_not_one_matrix(self):
-        with pytest.raises(InputError, match="square"):
-            numeric_spectrum(np.zeros((1, 2, 2)))
+    def test_dense_guard_before_any_matrix(self, monkeypatch):
+        def refuse(g, signless=False):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(exact, "laplacian_matrix", refuse)
+        with pytest.raises(GuardExceeded, match="dense matrix guard"):
+            numeric_spectra([fam("path", 3), Graph(exact.MAX_DENSE_VERTICES + 1)])
 
     def test_no_negative_eigenvalues_after_clamp(self):
         for g in (fam("wheel", 9), fam("complete", 12), fam("hypercube", 4)):
@@ -86,47 +90,42 @@ class TestNumericSolver:
         with pytest.raises(ConvergenceError, match="trace"):
             lap_spectrum(fam("path", 5))
 
-    def test_snap_matches_per_value_rule(self, monkeypatch):
+    def test_snap_matches_per_value_rule(self, monkeypatch, eigensolver):
         # -0.0 stays, tiny negatives become 0.0, larger ones and positives stay
         raw = np.array([-1e-3, -1e-13, -0.0, 0.0, 1e-13, 2.0 - 1e-3, 2.0])
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.broadcast_to(raw, a.shape[:-1]))
         a = np.diag([0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0 - 2e-3])  # trace = sum(raw)
         snap = 10.0 * SNAP_TOL * float(np.linalg.norm(a))
         want = sorted((0.0 if -snap < v < 0.0 else v for v in raw.tolist()), reverse=True)
-        got = numeric_spectrum(a).values.tolist()
+        got = eigensolver([a])[0].values.tolist()
         assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
-def _corpus_laplacians_by_order():
+def _corpus_graphs_by_order():
     by_order = {}
     for _, g in corpus_graphs():
-        by_order.setdefault(g.n, []).append(laplacian_matrix(g))
+        by_order.setdefault(g.n, []).append(g)
     return by_order
 
 
 class TestStackedSolver:
     def test_corpus_stacks_equal_per_matrix_calls_bit_for_bit(self):
-        for mats in _corpus_laplacians_by_order().values():
-            stack = np.stack(mats)
-            stacked = numeric_spectra(stack)
-            assert len(stacked) == len(mats)
-            for m, raw, s in zip(mats, np.linalg.eigvalsh(stack), stacked):
+        for graphs in _corpus_graphs_by_order().values():
+            mats = [laplacian_matrix(g) for g in graphs]
+            stacked = numeric_spectra(graphs)
+            assert len(stacked) == len(graphs)
+            for g, m, raw, s in zip(graphs, mats, np.linalg.eigvalsh(np.stack(mats)), stacked):
                 assert raw.tobytes() == np.linalg.eigvalsh(m).tobytes()
-                assert s.values.tobytes() == numeric_spectrum(m).values.tobytes()
+                assert s.values.tobytes() == lap_spectrum(g).values.tobytes()
 
     def test_per_matrix_certificates_against_raw_lapack(self):
-        mats = _corpus_laplacians_by_order()[7]
-        for m, s in zip(mats, numeric_spectra(np.stack(mats))):
+        graphs = _corpus_graphs_by_order()[7]
+        for g, s in zip(graphs, numeric_spectra(graphs)):
+            m = laplacian_matrix(g)
             raw = np.linalg.eigvalsh(m)
             snap = 10.0 * SNAP_TOL * float(np.linalg.norm(m))
             want = sorted((0.0 if -snap < v < 0.0 else v for v in raw.tolist()), reverse=True)
             assert [repr(v) for v in s.values.tolist()] == [repr(v) for v in want]
-
-    def test_one_non_symmetric_member_rejected(self):
-        stack = np.stack([laplacian_matrix(fam("path", 4)) for _ in range(3)])
-        stack[1, 0, 3] = 5.0
-        with pytest.raises(InputError, match="symmetric.*stack member 1"):
-            numeric_spectra(stack)
 
     def test_one_trace_miss_is_convergence_error(self, monkeypatch):
         real = np.linalg.eigvalsh
@@ -137,51 +136,27 @@ class TestStackedSolver:
             return values
 
         monkeypatch.setattr(np.linalg, "eigvalsh", miss_second)
-        stack = np.stack([laplacian_matrix(fam("cycle", 5)) for _ in range(4)])
         with pytest.raises(ConvergenceError, match="trace.*stack member 2"):
-            numeric_spectra(stack)
-
-    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (1, 2, 2, 2)])
-    def test_not_a_stack_of_square_matrices(self, shape):
-        with pytest.raises(InputError, match="square"):
-            numeric_spectra(np.zeros(shape))
+            numeric_spectra([fam("cycle", 5)] * 4)
 
     def test_empty_stack(self):
-        assert numeric_spectra(np.zeros((0, 4, 4))) == []
+        assert numeric_spectra([]) == []
 
 
 class TestMixedOrders:
     def test_shuffled_corpus_equals_per_matrix_calls_bit_for_bit(self):
-        mats = [laplacian_matrix(g) for _, g in corpus_graphs()]
-        shuffled = [mats[i] for i in np.random.default_rng(5).permutation(len(mats))]
+        graphs = [g for _, g in corpus_graphs()]
+        shuffled = [graphs[i] for i in np.random.default_rng(5).permutation(len(graphs))]
         got = numeric_spectra(shuffled)
         assert len(got) == len(shuffled)
-        assert len({len(m) for m in shuffled}) > 1
-        for m, s in zip(shuffled, got):
-            assert s.values.tobytes() == numeric_spectrum(m).values.tobytes()
+        assert len({g.n for g in shuffled}) > 1
+        for g, s in zip(shuffled, got):
+            assert s.values.tobytes() == lap_spectrum(g).values.tobytes()
 
     def _mixed(self):
         # orders 4, 5, 4, 5, 6: input 3 is member 1 of the order-5 stack
-        return [laplacian_matrix(fam(name, n)) for name, n in
+        return [fam(name, n) for name, n in
                 (("path", 4), ("cycle", 5), ("star", 4), ("path", 5), ("wheel", 5))]
-
-    def test_non_square_member_named_by_input_index(self):
-        mats = self._mixed()
-        mats[2] = mats[2][:, :3]
-        with pytest.raises(InputError, match=r"square \(stack member 2\)"):
-            numeric_spectra(mats)
-
-    def test_ragged_member_named_by_input_index(self):
-        mats = self._mixed()
-        mats[4] = [[1, 2], [3]]
-        with pytest.raises(InputError, match=r"numbers \(stack member 4\)"):
-            numeric_spectra(mats)
-
-    def test_non_symmetric_member_named_by_input_index(self):
-        mats = self._mixed()
-        mats[3][0, 4] = 5.0
-        with pytest.raises(InputError, match=r"symmetric \(stack member 3\)"):
-            numeric_spectra(mats)
 
     def test_trace_miss_named_by_input_index(self, monkeypatch):
         real = np.linalg.eigvalsh
@@ -197,9 +172,12 @@ class TestMixedOrders:
             numeric_spectra(self._mixed())
 
     def test_lone_matrix_reaches_lapack_as_a_view(self, monkeypatch):
-        real = np.linalg.eigvalsh
-        mats = self._mixed()
-        shapes = []
+        real, build = np.linalg.eigvalsh, exact.laplacian_matrix
+        mats, shapes = [], []
+
+        def built(g, signless=False):
+            mats.append(build(g, signless))
+            return mats[-1]
 
         def view_if_alone(a):
             shapes.append(a.shape)
@@ -207,10 +185,12 @@ class TestMixedOrders:
                 assert any(np.shares_memory(a, m) for m in mats)
             return real(a)
 
+        monkeypatch.setattr(exact, "laplacian_matrix", built)
         monkeypatch.setattr(np.linalg, "eigvalsh", view_if_alone)
-        numeric_spectra(mats)
+        graphs = self._mixed()
+        numeric_spectra(graphs)
         assert shapes == [(2, 4, 4), (2, 5, 5), (1, 6, 6)]
-        numeric_spectrum(mats[4])
+        numeric_spectra([graphs[4]])
         assert shapes[-1] == (1, 6, 6)
 
 
@@ -380,4 +360,4 @@ def test_reconstruction_from_spectrum():
 
 
 def test_trace_check_empty_graph():
-    assert trace_check(numeric_spectrum([[0] * 2 for _ in range(2)]), Graph(2)) == 0.0
+    assert trace_check(lap_spectrum(Graph(2)), Graph(2)) == 0.0
